@@ -1,4 +1,4 @@
-"""Wall-clock speedup of the batched probe engine over the per-op path.
+"""Wall-clock speedup of the batched and columnar engines over per-op.
 
 Three workloads, all measured host-side (the simulated clocks of both
 paths are identical by construction -- see tests/test_probe_engine.py):
@@ -6,7 +6,8 @@ paths are identical by construction -- see tests/test_probe_engine.py):
 * the Figure-4 512-slot KASLR sweep at distribution quality (16 rounds
   per slot, the kind of sweep the per-slot timing statistics need),
 * the Table-I attacks (base break on three CPUs, module detection),
-  batched vs per-op, with the recovered outcomes cross-checked,
+  ``engine="batched"`` vs ``engine="per-op"``, with the recovered
+  outcomes cross-checked,
 * the full scenario suite, per-op serial (the pre-engine execution
   model) vs the shipped ``suite --jobs 4`` invocation.
 
@@ -23,7 +24,6 @@ from _bench_utils import once, write_result
 from repro.analysis.report import format_table
 from repro.attacks.kaslr_break import break_kaslr
 from repro.attacks.module_detect import detect_modules, region_accuracy
-from repro.attacks.primitives import double_probe_load
 from repro.machine import Machine
 from repro.os.linux import layout
 from repro.scenarios import run_scenario, run_suite
@@ -54,23 +54,17 @@ def _kernel_slot_vas():
     ]
 
 
-def _fig4_sweep_per_op():
+def _fig4_sweep(engine):
     machine = Machine.linux(seed=4)
-    for va in _kernel_slot_vas():
-        double_probe_load(machine.core, va, rounds=SWEEP_ROUNDS)
-
-
-def _fig4_sweep_batched():
-    machine = Machine.linux(seed=4)
-    # pinned to the row-loop engine: this is the control arm the new
-    # columnar numbers are compared against
     machine.core.probe_sweep(_kernel_slot_vas(), rounds=SWEEP_ROUNDS,
-                             op="load", engine="batched")
+                             op="load", engine=engine)
 
 
 def _bench_fig4():
-    per_op = _wall(_fig4_sweep_per_op)
-    batched = _wall(_fig4_sweep_batched)
+    per_op = _wall(lambda: _fig4_sweep("per-op"))
+    # pinned to the row-loop engine: this is the control arm the
+    # columnar numbers are compared against
+    batched = _wall(lambda: _fig4_sweep("batched"))
     return {
         "slots": layout.KERNEL_TEXT_SLOTS,
         "rounds": SWEEP_ROUNDS,
@@ -89,23 +83,21 @@ def _bench_table1():
         ("i5-12400F", "modules", 12),
     ):
         if target == "base":
-            def attack(batched):
+            def attack(engine):
                 machine = Machine.linux(cpu=cpu, seed=seed)
-                result = break_kaslr(machine, batched=batched,
-                                     engine="batched" if batched else None)
+                result = break_kaslr(machine, engine=engine)
                 assert result.base == machine.kernel.base
                 return result.base
         else:
-            def attack(batched):
+            def attack(engine):
                 machine = Machine.linux(cpu=cpu, seed=seed)
-                result = detect_modules(machine, batched=batched,
-                                        engine="batched" if batched else None)
+                result = detect_modules(machine, engine=engine)
                 assert region_accuracy(result, machine.kernel) >= 0.98
                 return sorted(result.identified.items())
-        reference = attack(batched=False)
-        assert attack(batched=True) == reference
-        per_op = _wall(lambda: attack(batched=False))
-        batched = _wall(lambda: attack(batched=True))
+        reference = attack("per-op")
+        assert attack("batched") == reference
+        per_op = _wall(lambda: attack("per-op"))
+        batched = _wall(lambda: attack("batched"))
         rows.append({
             "cpu": cpu,
             "target": target,
@@ -144,14 +136,6 @@ def _scan_arm(vas_of, op, rounds, engine):
                              reduce="min", engine=engine)
 
 
-def _scan_per_op(vas_of, op, rounds):
-    machine, vas = vas_of()
-    probe = (machine.core.timed_masked_store if op == "store"
-             else machine.core.timed_masked_load)
-    for va in vas:
-        min(probe(va) for __ in range(rounds))
-
-
 def _bench_columnar():
     """Full-range scans: per-op vs batched (control) vs columnar."""
     sections = {}
@@ -160,7 +144,8 @@ def _bench_columnar():
          lambda: (Machine.linux(seed=6), _module_scan_vas()), "load", 4),
         ("userspace_rw_scan", _user_scan_machine_and_vas, "store", 2),
     ):
-        per_op = _wall(lambda: _scan_per_op(vas_of, op, rounds), repeats=2)
+        per_op = _wall(lambda: _scan_arm(vas_of, op, rounds, "per-op"),
+                       repeats=2)
         batched = _wall(lambda: _scan_arm(vas_of, op, rounds, "batched"),
                         repeats=2)
         columnar = _wall(lambda: _scan_arm(vas_of, op, rounds, "columnar"),
@@ -189,7 +174,7 @@ def _bench_columnar():
 def _suite_per_op_serial():
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         spec = json.loads(path.read_text())
-        spec["attack"]["batched"] = False
+        spec["attack"]["engine"] = "per-op"
         result = run_scenario(spec)
         assert result.passed, (path.name, result.violations)
 

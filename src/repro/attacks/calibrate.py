@@ -48,29 +48,18 @@ def robust_stats(values):
 
 
 def calibrate_store_threshold(machine, samples=600, slack_sigmas=3.0,
-                              slack_cycles=2.0, batched=False, engine=None):
+                              slack_cycles=2.0, engine=None):
     """Measure the masked store on the attacker's clean USER-M page.
 
     Returns a :class:`ThresholdCalibration` whose threshold sits a few
     noise sigmas above the measured mean -- i.e. between the kernel-mapped
-    and kernel-unmapped timing modes.  ``batched=True`` takes all
-    ``samples`` through the sweep engine (two reference stores instead of
-    600) with identical simulated-time accounting.
+    and kernel-unmapped timing modes.  ``engine`` selects the sweep
+    executor (:meth:`repro.cpu.core.Core.probe_sweep`).
     """
-    core = machine.core
-    page = machine.playground.user_rw
-    if batched:
-        values = list(
-            core.probe_sweep(
-                [page], rounds=samples, op="store", warm=False, reduce=None,
-                engine=engine,
-            )[0]
-        )
-    else:
-        # one poll for the single calibration VA -- the same boundary the
-        # batched engine polls at, keeping chaos schedules mode-agnostic
-        core.chaos_poll()
-        values = [core.timed_masked_store(page) for _ in range(samples)]
+    values = list(machine.core.probe_sweep(
+        [machine.playground.user_rw], rounds=samples, op="store",
+        warm=False, reduce=None, engine=engine,
+    )[0])
     __, mean, std = robust_stats(values)
     threshold = mean + slack_sigmas * max(std, 1.0) + slack_cycles
     return ThresholdCalibration(mean, std, threshold, samples)

@@ -49,15 +49,14 @@ class CloudBreakResult:
 
 
 def audit_cloud(provider, seed=0, machine=None, detect_kernel_modules=True,
-                batched=False, engine=None):
+                engine=None):
     """Run the paper's attack suite against one cloud instance."""
     if machine is None:
         machine = Machine.cloud(provider, seed=seed)
     instance = machine.instance
 
     if instance.os_family == "windows":
-        result = find_kernel_region(machine, batched=batched,
-                                    engine=engine)
+        result = find_kernel_region(machine, engine=engine)
         return CloudBreakResult(
             provider=instance.provider,
             base=result.base,
@@ -70,17 +69,14 @@ def audit_cloud(provider, seed=0, machine=None, detect_kernel_modules=True,
         )
 
     if instance.kpti:
-        base_result = break_kaslr_kpti(machine, batched=batched,
-                                       engine=engine)
+        base_result = break_kaslr_kpti(machine, engine=engine)
     else:
-        base_result = break_kaslr_intel(machine, batched=batched,
-                                        engine=engine)
+        base_result = break_kaslr_intel(machine, engine=engine)
 
     modules_ms = None
     identified = None
     if detect_kernel_modules:
-        module_result = detect_modules(machine, batched=batched,
-                                       engine=engine)
+        module_result = detect_modules(machine, engine=engine)
         modules_ms = module_result.probing_ms
         identified = len(module_result.identified)
 

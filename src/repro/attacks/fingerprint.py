@@ -44,8 +44,7 @@ class ApplicationFingerprinter:
     """TLB-state spy over a sentinel-module vector."""
 
     def __init__(self, machine, sentinels=SENTINEL_MODULES,
-                 hit_threshold=None, module_addresses=None, batched=False,
-                 engine=None):
+                 hit_threshold=None, module_addresses=None, engine=None):
         self.machine = machine
         self.core = machine.core
         cpu = machine.cpu
@@ -57,8 +56,7 @@ class ApplicationFingerprinter:
         self.hit_threshold = hit_threshold
 
         if module_addresses is None:
-            detection = detect_modules(machine, batched=batched,
-                                       engine=engine)
+            detection = detect_modules(machine, engine=engine)
             module_addresses = {}
             for name in sentinels:
                 address = detection.address_of(name)

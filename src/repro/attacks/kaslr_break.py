@@ -18,7 +18,6 @@ Two variants, matching the paper's Intel and AMD procedures:
 """
 
 from repro.attacks.calibrate import calibrate_store_threshold, robust_stats
-from repro.attacks.primitives import double_probe_load
 from repro.errors import AttackError
 from repro.os.linux import layout
 
@@ -55,8 +54,7 @@ class KaslrBreakResult:
         )
 
 
-def break_kaslr(machine, rounds=None, calibration=None, batched=False,
-                engine=None):
+def break_kaslr(machine, rounds=None, calibration=None, engine=None):
     """Dispatch to the appropriate KASLR break for this machine.
 
     KPTI status is world-readable on real systems
@@ -68,22 +66,17 @@ def break_kaslr(machine, rounds=None, calibration=None, batched=False,
         from repro.attacks.kpti_break import break_kaslr_kpti
 
         return break_kaslr_kpti(machine, rounds=rounds,
-                                calibration=calibration, batched=batched,
-                                engine=engine)
+                                calibration=calibration, engine=engine)
     if machine.cpu.fills_tlb_for_supervisor_user_probe:
-        return break_kaslr_intel(machine, rounds, calibration,
-                                 batched=batched, engine=engine)
-    return break_kaslr_amd(machine, rounds, batched=batched,
-                           engine=engine)
+        return break_kaslr_intel(machine, rounds, calibration, engine=engine)
+    return break_kaslr_amd(machine, rounds, engine=engine)
 
 
-def break_kaslr_intel(machine, rounds=None, calibration=None,
-                      batched=False, engine=None):
+def break_kaslr_intel(machine, rounds=None, calibration=None, engine=None):
     """Double-probe all 512 slots and locate the first mapped run.
 
-    ``batched=True`` routes the 512-slot sweep (and the calibration)
-    through the batched probe engine -- same simulated time, same
-    classification statistics, far fewer Python-level ops.
+    ``engine`` selects the sweep executor for the 512-slot sweep and the
+    calibration (:meth:`repro.cpu.core.Core.probe_sweep`).
     """
     core = machine.core
     if rounds is None:
@@ -92,22 +85,15 @@ def break_kaslr_intel(machine, rounds=None, calibration=None,
     total_start = core.clock.cycles
     core.run_setup()
     if calibration is None:
-        calibration = calibrate_store_threshold(machine, batched=batched,
-                                                engine=engine)
+        calibration = calibrate_store_threshold(machine, engine=engine)
 
     probe_start = core.clock.cycles
-    if batched:
-        vas = [
-            layout.kernel_base_of_slot(slot)
-            for slot in range(layout.KERNEL_TEXT_SLOTS)
-        ]
-        timings = list(core.probe_sweep(vas, rounds=rounds, op="load",
-                                        engine=engine))
-    else:
-        timings = []
-        for slot in range(layout.KERNEL_TEXT_SLOTS):
-            va = layout.kernel_base_of_slot(slot)
-            timings.append(double_probe_load(core, va, rounds))
+    vas = [
+        layout.kernel_base_of_slot(slot)
+        for slot in range(layout.KERNEL_TEXT_SLOTS)
+    ]
+    timings = list(core.probe_sweep(vas, rounds=rounds, op="load",
+                                    engine=engine))
     probing_ms = core.clock.cycles_to_ms(
         core.clock.elapsed_since(probe_start)
     )
@@ -129,7 +115,7 @@ def break_kaslr_intel(machine, rounds=None, calibration=None,
 
 def break_kaslr_amd(machine, rounds=None,
                     page_offsets=layout.KERNEL_4K_PAGE_OFFSETS,
-                    min_votes=5, batched=False, engine=None):
+                    min_votes=5, engine=None):
     """Score candidate bases by the deep-walk signature of 4 KiB pages."""
     core = machine.core
     if rounds is None:
@@ -145,30 +131,17 @@ def break_kaslr_amd(machine, rounds=None,
 
     probe_start = core.clock.cycles
     usable = layout.KERNEL_TEXT_SLOTS - layout.KERNEL_IMAGE_2M_PAGES
-    if batched:
-        vas = [
-            layout.kernel_base_of_slot(slot) + offset
-            for slot in range(usable)
-            for offset in page_offsets
-        ]
-        flat = core.probe_sweep(vas, rounds=rounds, op="load",
-                                engine=engine)
-        width = len(page_offsets)
-        per_candidate = [
-            list(flat[i * width : (i + 1) * width]) for i in range(usable)
-        ]
-        all_means = list(flat)
-    else:
-        per_candidate = []
-        all_means = []
-        for slot in range(usable):
-            base = layout.kernel_base_of_slot(slot)
-            means = [
-                double_probe_load(core, base + offset, rounds)
-                for offset in page_offsets
-            ]
-            per_candidate.append(means)
-            all_means.extend(means)
+    vas = [
+        layout.kernel_base_of_slot(slot) + offset
+        for slot in range(usable)
+        for offset in page_offsets
+    ]
+    flat = core.probe_sweep(vas, rounds=rounds, op="load", engine=engine)
+    width = len(page_offsets)
+    per_candidate = [
+        list(flat[i * width : (i + 1) * width]) for i in range(usable)
+    ]
+    all_means = list(flat)
     probing_ms = core.clock.cycles_to_ms(
         core.clock.elapsed_since(probe_start)
     )

@@ -13,12 +13,11 @@ same way the paper's threat model grants knowledge of constant offsets.
 
 from repro.attacks.calibrate import calibrate_store_threshold
 from repro.attacks.kaslr_break import KaslrBreakResult
-from repro.attacks.primitives import double_probe_load
 from repro.os.linux import layout
 
 
 def break_kaslr_kpti(machine, trampoline_offset=None, rounds=None,
-                     calibration=None, batched=False, engine=None):
+                     calibration=None, engine=None):
     """Locate the trampoline in the user table and subtract its offset."""
     core = machine.core
     if rounds is None:
@@ -32,22 +31,15 @@ def break_kaslr_kpti(machine, trampoline_offset=None, rounds=None,
     total_start = core.clock.cycles
     core.run_setup()
     if calibration is None:
-        calibration = calibrate_store_threshold(machine, batched=batched,
-                                                engine=engine)
+        calibration = calibrate_store_threshold(machine, engine=engine)
 
     probe_start = core.clock.cycles
-    if batched:
-        vas = [
-            layout.kernel_base_of_slot(slot)
-            for slot in range(layout.KERNEL_TEXT_SLOTS)
-        ]
-        timings = list(core.probe_sweep(vas, rounds=rounds, op="load",
-                                        engine=engine))
-    else:
-        timings = []
-        for slot in range(layout.KERNEL_TEXT_SLOTS):
-            va = layout.kernel_base_of_slot(slot)
-            timings.append(double_probe_load(core, va, rounds))
+    vas = [
+        layout.kernel_base_of_slot(slot)
+        for slot in range(layout.KERNEL_TEXT_SLOTS)
+    ]
+    timings = list(core.probe_sweep(vas, rounds=rounds, op="load",
+                                    engine=engine))
     probing_ms = core.clock.cycles_to_ms(
         core.clock.elapsed_since(probe_start)
     )

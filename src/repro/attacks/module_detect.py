@@ -14,7 +14,6 @@ remain ambiguous.
 """
 
 from repro.attacks.calibrate import calibrate_store_threshold
-from repro.attacks.primitives import double_probe_load
 from repro.mmu.address import PAGE_SIZE
 from repro.os.linux import layout
 
@@ -96,13 +95,12 @@ def _runs_from_bitmap(mapped_flags, start_va):
 
 
 def detect_modules(machine, rounds=None, calibration=None,
-                   max_slots=layout.MODULE_SLOTS, batched=False,
-                   engine=None):
+                   max_slots=layout.MODULE_SLOTS, engine=None):
     """Run the full module detection + size classification attack.
 
     ``max_slots`` restricts the scan (the full window is 16384 slots);
-    the default probes everything, like the paper.  ``batched=True``
-    routes the scan through the batched probe engine.
+    the default probes everything, like the paper.  ``engine`` selects
+    the sweep executor (:meth:`repro.cpu.core.Core.probe_sweep`).
     """
     core = machine.core
     if rounds is None:
@@ -111,26 +109,16 @@ def detect_modules(machine, rounds=None, calibration=None,
     total_start = core.clock.cycles
     core.run_setup()
     if calibration is None:
-        calibration = calibrate_store_threshold(machine, batched=batched,
-                                                engine=engine)
+        calibration = calibrate_store_threshold(machine, engine=engine)
 
     probe_start = core.clock.cycles
-    if batched:
-        vas = [
-            layout.MODULE_START + slot * PAGE_SIZE
-            for slot in range(max_slots)
-        ]
-        # min-filtered: a single spike must not split a module in two
-        timings = core.probe_sweep(vas, rounds=rounds, op="load",
-                                   reduce="min", engine=engine)
-        mapped_flags = [calibration.classify_mapped(t) for t in timings]
-    else:
-        mapped_flags = []
-        for slot in range(max_slots):
-            va = layout.MODULE_START + slot * PAGE_SIZE
-            # min-filtered: a single spike must not split a module in two
-            timing = double_probe_load(core, va, rounds, take_min=True)
-            mapped_flags.append(calibration.classify_mapped(timing))
+    vas = [
+        layout.MODULE_START + slot * PAGE_SIZE for slot in range(max_slots)
+    ]
+    # min-filtered: a single spike must not split a module in two
+    timings = core.probe_sweep(vas, rounds=rounds, op="load", reduce="min",
+                               engine=engine)
+    mapped_flags = [calibration.classify_mapped(t) for t in timings]
     probing_ms = core.clock.cycles_to_ms(
         core.clock.elapsed_since(probe_start)
     )

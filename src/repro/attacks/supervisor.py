@@ -29,10 +29,11 @@ The :class:`AttackSupervisor` closes the loop around every attack:
   retry count, per-attempt records, and the disturbance log -- never an
   unhandled disturbance exception.
 
-All supervisor-side measurements (drift checks, re-probes) run through
-the scalar per-op path regardless of the attack's ``batched`` flag, so
-the supervised control flow advances the simulated clock identically in
-both modes and the chaos schedule stays mode-agnostic.
+All supervisor-side measurements (drift checks, canaries, re-probes)
+run through the scalar per-op path whatever sweep ``engine`` the attack
+uses, so the supervised control flow advances the simulated clock
+identically under every engine and the chaos schedule stays
+engine-agnostic.
 """
 
 from repro.attacks.calibrate import calibrate_store_threshold, robust_stats
@@ -179,13 +180,14 @@ class AttackSupervisor:
     """Run attacks with feedback, retries and structured verdicts."""
 
     def __init__(self, machine, max_retries=3, probe_budget=None,
-                 time_budget_ms=None, batched=True):
+                 time_budget_ms=None, engine=None):
         self.machine = machine
         self.core = machine.core
         self.max_retries = max_retries
         self.probe_budget = probe_budget
         self.time_budget_ms = time_budget_ms
-        self.batched = batched
+        #: sweep executor of every attack sweep (Core.probe_sweep)
+        self.engine = engine
         self.probes_spent = 0
         self._start_cycles = None
 
@@ -236,7 +238,7 @@ class AttackSupervisor:
         cpu = self.machine.cpu
         with core.obs.span("calibrate", samples=samples) as span:
             calibration = calibrate_store_threshold(
-                self.machine, samples=samples, batched=self.batched
+                self.machine, samples=samples, engine=self.engine
             )
             self.charge_probes(samples)
             std_ceiling = max(6.0 * core.noise.sigma,
@@ -263,7 +265,7 @@ class AttackSupervisor:
     def check_drift(self, calibration, samples=24):
         """Re-measure the calibration page; raise on a moved store mode.
 
-        Runs per-op in both modes (identical simulated-clock cost).  A
+        Runs per-op under every engine (identical clock cost).  A
         significant shift means the timing regime changed *after*
         calibration -- typically a DVFS transition -- so every
         classification made against the stale threshold is suspect.
@@ -509,18 +511,11 @@ def supervised_scan(sup, vas, rounds, calibration, take_min=False,
             with obs.span("chunk", index=index, size=len(chunk)) as span:
                 for attempt in range(max_chunk_retries + 1):
                     sup.charge_probes(len(chunk) * rounds)
-                    if sup.batched:
-                        chunk_t = list(core.probe_sweep(
-                            chunk, rounds=rounds, op="load",
-                            reduce="min" if take_min else "mean",
-                        ))
-                    else:
-                        chunk_t = [
-                            double_probe_load(
-                                core, va, rounds, take_min=take_min
-                            )
-                            for va in chunk
-                        ]
+                    chunk_t = list(core.probe_sweep(
+                        chunk, rounds=rounds, op="load",
+                        reduce="min" if take_min else "mean",
+                        engine=sup.engine,
+                    ))
                     post = _canary(sup)
                     if abs(post - pre) <= slack:
                         break
@@ -596,7 +591,7 @@ def _run_kaslr(sup, rounds=None, variant=None):
     if variant == "amd":
         from repro.attacks.kaslr_break import break_kaslr_amd
 
-        result = break_kaslr_amd(machine, rounds=rounds, batched=sup.batched)
+        result = break_kaslr_amd(machine, rounds=rounds, engine=sup.engine)
         usable = layout.KERNEL_TEXT_SLOTS - layout.KERNEL_IMAGE_2M_PAGES
         sup.charge_probes(
             usable * len(layout.KERNEL_4K_PAGE_OFFSETS) * rounds
@@ -771,7 +766,7 @@ def _run_windows(sup, rounds=None):
         rounds = machine.cpu.rounds_default
     calibration = sup.checked_calibration()
     result = find_kernel_region(
-        machine, rounds=rounds, calibration=calibration, batched=sup.batched
+        machine, rounds=rounds, calibration=calibration, engine=sup.engine
     )
     sup.charge_probes(result.simulated_probes * rounds)
     sup.check_drift(calibration)
@@ -790,7 +785,7 @@ def _run_userspace(sup, rounds=2):
     if machine.process is None:
         raise AttackError("the userspace attack needs a Linux process")
     result = find_user_code_base(
-        machine, rounds=rounds, batched=sup.batched
+        machine, rounds=rounds, engine=sup.engine
     )
     sup.charge_probes(result.simulated_probes)
     if result.base is None:
@@ -814,7 +809,7 @@ def _run_cloud(sup, detect_kernel_modules=True):
     generation = sup._layout_generation()
     result = audit_cloud(
         machine.instance.provider, machine=machine,
-        detect_kernel_modules=detect_kernel_modules, batched=sup.batched,
+        detect_kernel_modules=detect_kernel_modules, engine=sup.engine,
     )
     sup.charge_probes(layout.KERNEL_TEXT_SLOTS
                       * machine.cpu.rounds_default)
@@ -883,7 +878,7 @@ def _run_fingerprint(sup, workload="video-call", intervals=24,
             )
         )
     spy = ApplicationFingerprinter(
-        machine, batched=sup.batched,
+        machine, engine=sup.engine,
         module_addresses={s: addresses[s] for s in SENTINEL_MODULES},
     )
     guess, observation, ranking = spy.identify(
@@ -915,10 +910,10 @@ SUPERVISED_ATTACKS = tuple(sorted(_RUNNERS))
 
 
 def supervise(machine, attack, max_retries=3, probe_budget=None,
-              time_budget_ms=None, batched=True, **kwargs):
+              time_budget_ms=None, engine=None, **kwargs):
     """One-call convenience: build a supervisor and run one attack."""
     supervisor = AttackSupervisor(
         machine, max_retries=max_retries, probe_budget=probe_budget,
-        time_budget_ms=time_budget_ms, batched=batched,
+        time_budget_ms=time_budget_ms, engine=engine,
     )
     return supervisor.run(attack, **kwargs)

@@ -56,25 +56,13 @@ class UserScanResult:
 
 
 def _calibrate_unmapped_boundary(machine, samples=200, use_store=False,
-                                 batched=False, engine=None):
+                                 engine=None):
     """Self-calibrate against the attacker's own unmapped guard page."""
-    core = machine.core
-    if batched:
-        values = sorted(
-            core.probe_sweep(
-                [machine.playground.unmapped], rounds=samples,
-                op="store" if use_store else "load", warm=False, reduce=None,
-                engine=engine,
-            )[0]
-        )
-    else:
-        probe = (
-            core.timed_masked_store if use_store else core.timed_masked_load
-        )
-        core.chaos_poll()
-        values = sorted(
-            probe(machine.playground.unmapped) for _ in range(samples)
-        )
+    values = sorted(machine.core.probe_sweep(
+        [machine.playground.unmapped], rounds=samples,
+        op="store" if use_store else "load", warm=False, reduce=None,
+        engine=engine,
+    )[0])
     median = values[len(values) // 2]
     return median - 12
 
@@ -110,14 +98,13 @@ def _runs_of(addresses):
     return runs
 
 
-def _region_scan(machine, classify, probe, rounds, window_pages,
+def _region_scan(machine, classify, op, rounds, window_pages,
                  background_samples, mode, region_start=None,
-                 region_pages=None, batched_op=None, engine=None):
-    """Shared scan loop: probe the sample set, classify, extrapolate.
+                 region_pages=None, engine=None):
+    """Shared scan: single-probe the sample set, classify, extrapolate.
 
-    ``batched_op`` ("load"/"store") switches the whole sample set onto
-    the batched engine's single-probe path instead of calling ``probe``
-    per address.
+    Each sampled page takes ``rounds`` bare ``op`` ("load"/"store")
+    probes, min-filtered.
     """
     core = machine.core
     if region_start is None:
@@ -129,21 +116,9 @@ def _region_scan(machine, classify, probe, rounds, window_pages,
     )
 
     probe_start = core.clock.cycles
-    if batched_op is not None:
-        best_of = core.probe_sweep(
-            addresses, rounds=rounds, op=batched_op, warm=False, reduce="min",
-            engine=engine,
-        )
-        positives = [
-            va for va, best in zip(addresses, best_of) if classify(best)
-        ]
-    else:
-        positives = []
-        for va in addresses:
-            core.chaos_poll()
-            best = min(probe(va) for _ in range(rounds))
-            if classify(best):
-                positives.append(va)
+    best_of = core.probe_sweep(addresses, rounds=rounds, op=op, warm=False,
+                               reduce="min", engine=engine)
+    positives = [va for va, best in zip(addresses, best_of) if classify(best)]
     elapsed = core.clock.elapsed_since(probe_start)
     per_probe = elapsed / (len(addresses) * rounds)
 
@@ -159,7 +134,7 @@ def _region_scan(machine, classify, probe, rounds, window_pages,
 
 
 def find_user_code_base(machine, rounds=2, window_pages=64,
-                        background_samples=2048, batched=False, engine=None):
+                        background_samples=2048, engine=None):
     """Scan the 0x55XXXXXXX000 region for the executable's base (P2).
 
     A single masked-load probe per page suffices here: a mapped *user*
@@ -167,18 +142,16 @@ def find_user_code_base(machine, rounds=2, window_pages=64,
     walks.  Read-write data pages need the store pass
     (:func:`scan_rw_pages`) -- the paper's two-pass combination.
     """
-    core = machine.core
     boundary = _calibrate_unmapped_boundary(machine, use_store=False,
-                                            batched=batched, engine=engine)
+                                            engine=engine)
     return _region_scan(
-        machine, lambda t: t <= boundary, core.timed_masked_load, rounds,
-        window_pages, background_samples, mode="load",
-        batched_op="load" if batched else None, engine=engine,
+        machine, lambda t: t <= boundary, "load", rounds, window_pages,
+        background_samples, mode="load", engine=engine,
     )
 
 
 def scan_rw_pages(machine, rounds=2, window_pages=64,
-                  background_samples=2048, batched=False, engine=None):
+                  background_samples=2048, engine=None):
     """The paper's second (masked-store) pass: find written data pages.
 
     A store on a dirty writable page retires with no assist at all -- far
@@ -186,15 +159,13 @@ def scan_rw_pages(machine, rounds=2, window_pages=64,
     the load pass cannot see (Section IV-F's "probed again using the
     masked store to identify the read-write pages").
     """
-    core = machine.core
     cpu = machine.cpu
     fast_store = cpu.store_base + cpu.tlb_hit_l1
     ro_store = fast_store + cpu.assist_store
     boundary = cpu.measurement_overhead + (fast_store + ro_store) / 2
     return _region_scan(
-        machine, lambda t: t <= boundary, core.timed_masked_store, rounds,
-        window_pages, background_samples, mode="store-rw",
-        batched_op="store" if batched else None, engine=engine,
+        machine, lambda t: t <= boundary, "store", rounds, window_pages,
+        background_samples, mode="store-rw", engine=engine,
     )
 
 

@@ -18,7 +18,6 @@ extrapolates the runtime from the measured per-probe cost.
 import math
 
 from repro.attacks.calibrate import calibrate_store_threshold
-from repro.attacks.primitives import double_probe_load
 from repro.mmu.address import PAGE_SIZE
 from repro.os.windows.kernel import layout
 
@@ -103,38 +102,26 @@ def _sample_slots(total_slots, hot_slots, window, background):
 
 def find_kernel_region(machine, rounds=None, calibration=None,
                        window_slots=256, background_slots=4096,
-                       batched=False, engine=None):
+                       engine=None):
     """Locate the five consecutive 2 MiB kernel slots (18 bits)."""
     core = machine.core
     if rounds is None:
         rounds = machine.cpu.rounds_default
     core.run_setup()
     if calibration is None:
-        calibration = calibrate_store_threshold(machine, batched=batched,
-                                                engine=engine)
+        calibration = calibrate_store_threshold(machine, engine=engine)
 
     slots = _sample_slots(
         layout.KERNEL_SLOTS, machine.kernel.region_slots(),
         window_slots, background_slots,
     )
     probe_start = core.clock.cycles
-    if batched:
-        vas = [
-            layout.KERNEL_START + slot * layout.KERNEL_ALIGN
-            for slot in slots
-        ]
-        timings = core.probe_sweep(vas, rounds=rounds, op="load",
-                                   engine=engine)
-        verdicts = [
-            (slot, calibration.classify_mapped(t))
-            for slot, t in zip(slots, timings)
-        ]
-    else:
-        verdicts = []
-        for slot in slots:
-            va = layout.KERNEL_START + slot * layout.KERNEL_ALIGN
-            timing = double_probe_load(core, va, rounds)
-            verdicts.append((slot, calibration.classify_mapped(timing)))
+    vas = [layout.KERNEL_START + slot * layout.KERNEL_ALIGN for slot in slots]
+    timings = core.probe_sweep(vas, rounds=rounds, op="load", engine=engine)
+    verdicts = [
+        (slot, calibration.classify_mapped(t))
+        for slot, t in zip(slots, timings)
+    ]
     elapsed = core.clock.elapsed_since(probe_start)
     per_probe = elapsed / len(slots)
 
@@ -169,14 +156,13 @@ def find_kernel_region(machine, rounds=None, calibration=None,
 
 def find_kvas_region(machine, rounds=1, window_pages=512,
                      background_slots=8192, kvas_offset=layout.KVAS_OFFSET,
-                     batched=False, engine=None):
+                     engine=None):
     """Locate the three consecutive KVAS pages and recover the base."""
     core = machine.core
     if not machine.kernel.kvas:
         raise ValueError("find_kvas_region needs a KVAS-enabled kernel")
     core.run_setup()
-    calibration = calibrate_store_threshold(machine, batched=batched,
-                                            engine=engine)
+    calibration = calibrate_store_threshold(machine, engine=engine)
 
     total_pages = (layout.KERNEL_END - layout.KERNEL_START) // PAGE_SIZE
     kvas_page = (machine.kernel.kvas_base - layout.KERNEL_START) // PAGE_SIZE
@@ -184,22 +170,12 @@ def find_kvas_region(machine, rounds=1, window_pages=512,
         total_pages, [kvas_page], window_pages, background_slots
     )
     probe_start = core.clock.cycles
-    if batched:
-        vas = [
-            layout.KERNEL_START + page * PAGE_SIZE for page in pages
-        ]
-        timings = core.probe_sweep(vas, rounds=rounds, op="load",
-                                   engine=engine)
-        verdicts = [
-            (page, calibration.classify_mapped(t))
-            for page, t in zip(pages, timings)
-        ]
-    else:
-        verdicts = []
-        for page in pages:
-            va = layout.KERNEL_START + page * PAGE_SIZE
-            timing = double_probe_load(core, va, rounds)
-            verdicts.append((page, calibration.classify_mapped(timing)))
+    vas = [layout.KERNEL_START + page * PAGE_SIZE for page in pages]
+    timings = core.probe_sweep(vas, rounds=rounds, op="load", engine=engine)
+    verdicts = [
+        (page, calibration.classify_mapped(t))
+        for page, t in zip(pages, timings)
+    ]
     elapsed = core.clock.elapsed_since(probe_start)
     per_probe = elapsed / len(pages)
 

@@ -67,9 +67,11 @@ def _finish_tracer(tracer, started):
 
 
 def _add_per_op(parser):
-    parser.add_argument("--per-op", action="store_true",
-                        help="use the per-op reference simulator instead "
-                             "of the batched probe engine")
+    parser.add_argument("--per-op", dest="engine", action="store_const",
+                        const="per-op", default=None,
+                        help="run every probe sweep on the per-op "
+                             "reference engine instead of the automatic "
+                             "engine selection")
 
 
 def _add_chaos(parser):
@@ -136,7 +138,7 @@ def cmd_kaslr(args):
                                 chaos=args.chaos_profile)
         tracer, started = _maybe_tracer(args, machine, "kaslr")
         verdict = supervise(machine, "kaslr", max_retries=args.max_retries,
-                            batched=not args.per_op, rounds=args.rounds)
+                            engine=args.engine, rounds=args.rounds)
         _finish_tracer(tracer, started)
         _print_verdict(verdict, truth=machine.kernel.base)
         return 0 if verdict.value == machine.kernel.base else 1
@@ -144,7 +146,7 @@ def cmd_kaslr(args):
     machine = Machine.linux(cpu=args.cpu, seed=args.seed)
     tracer, started = _maybe_tracer(args, machine, "kaslr")
     result = break_kaslr(machine, rounds=args.rounds,
-                         batched=not args.per_op)
+                         engine=args.engine)
     _finish_tracer(tracer, started)
     ok = result.base == machine.kernel.base
     print("method   : {}".format(result.method))
@@ -167,7 +169,7 @@ def cmd_modules(args):
         tracer, started = _maybe_tracer(args, machine, "modules")
         verdict = supervise(machine, "modules",
                             max_retries=args.max_retries,
-                            batched=not args.per_op)
+                            engine=args.engine)
         _finish_tracer(tracer, started)
         _print_verdict(verdict)
         truth = machine.kernel.module_map
@@ -181,7 +183,7 @@ def cmd_modules(args):
 
     machine = Machine.linux(cpu=args.cpu, seed=args.seed)
     tracer, started = _maybe_tracer(args, machine, "modules")
-    result = detect_modules(machine, batched=not args.per_op)
+    result = detect_modules(machine, engine=args.engine)
     _finish_tracer(tracer, started)
     print("regions    : {}".format(len(result.regions)))
     print("identified : {}".format(len(result.identified)))
@@ -203,14 +205,14 @@ def cmd_kpti(args):
                                 chaos=args.chaos_profile)
         tracer, started = _maybe_tracer(args, machine, "kpti")
         verdict = supervise(machine, "kpti", max_retries=args.max_retries,
-                            batched=not args.per_op)
+                            engine=args.engine)
         _finish_tracer(tracer, started)
         _print_verdict(verdict, truth=machine.kernel.base)
         return 0 if verdict.value == machine.kernel.base else 1
 
     machine = Machine.linux(cpu=args.cpu, seed=args.seed, kpti=True)
     tracer, started = _maybe_tracer(args, machine, "kpti")
-    result = break_kaslr_kpti(machine, batched=not args.per_op)
+    result = break_kaslr_kpti(machine, engine=args.engine)
     _finish_tracer(tracer, started)
     ok = result.base == machine.kernel.base
     print("trampoline offset : {:#x}".format(
@@ -226,7 +228,7 @@ def cmd_spy(args):
     from repro.workloads.apps import APP_CATALOG, ApplicationWorkload
 
     machine = Machine.linux(cpu=args.cpu, seed=args.seed)
-    spy = ApplicationFingerprinter(machine, batched=not args.per_op)
+    spy = ApplicationFingerprinter(machine, engine=args.engine)
     workload = ApplicationWorkload(args.app, seed=args.seed + 1)
     guess, observation, ranking = spy.identify(
         workload, list(APP_CATALOG.values()), intervals=args.intervals
@@ -250,10 +252,10 @@ def cmd_windows(args):
     if args.kvas:
         machine = Machine.windows(cpu="i7-6600U", version="1709",
                                   seed=args.seed)
-        result = find_kvas_region(machine, batched=not args.per_op)
+        result = find_kvas_region(machine, engine=args.engine)
     else:
         machine = Machine.windows(cpu=args.cpu, seed=args.seed)
-        result = find_kernel_region(machine, batched=not args.per_op)
+        result = find_kernel_region(machine, engine=args.engine)
     ok = result.base == machine.kernel.base
     print("method   : {}".format(result.method))
     print("base     : {}".format(hex(result.base) if result.base else None))
@@ -268,7 +270,7 @@ def cmd_cloud(args):
     from repro.attacks.cloud_break import audit_cloud
 
     result = audit_cloud(args.provider, seed=args.seed,
-                         batched=not args.per_op)
+                         engine=args.engine)
     print("provider : {}".format(result.provider))
     print("method   : {}".format(result.method))
     print("base     : {}".format(hex(result.base) if result.base else None))
@@ -327,7 +329,7 @@ def cmd_chaos(args):
     tracer, started = _maybe_tracer(args, machine, "chaos " + args.attack)
     verdict = supervise(machine, args.attack, max_retries=args.max_retries,
                         probe_budget=args.probe_budget,
-                        batched=not args.per_op)
+                        engine=args.engine)
     _finish_tracer(tracer, started)
     if args.out:
         from repro.ioutil import write_json_atomic

@@ -77,16 +77,6 @@ COLUMNAR_MIN_VAS = 32
 #: recompile cost after a mid-sweep disturbance
 WINDOW_ROWS = 4096
 
-#: introspection for tests and benchmarks: how the last columnar_sweep
-#: call executed ("columnar" with row counts, or "delegated" + reason)
-last_info = {
-    "mode": None,
-    "reason": None,
-    "columnar_rows": 0,
-    "fallback_rows": 0,
-    "windows": 0,
-}
-
 _SIZE_CODE = {PAGE_SIZE: 0, PAGE_SIZE_2M: 1, PAGE_SIZE_1G: 2}
 #: terminal level -> vpn shift / packed size code / page size (level 0
 #: entries are unreachable for present rows; the compiler rejects them)
@@ -580,31 +570,49 @@ def _delegate_reason(core):
     return None
 
 
-def columnar_sweep(core, vas, rounds, op="load", warm=True, reduce="mean"):
-    """Columnar probe sweep: engine-equivalent, array-evolved.
-
-    Drop-in replacement for :func:`repro.cpu.engine.probe_sweep` with
-    identical semantics (measured matrix, clock, counters, MMU state,
-    chaos schedule); windows the compile step cannot prove safe run
-    through the engine's per-op row loop instead.
-    """
-    _engine.validate_sweep_args(op, reduce, rounds)
-    vas = list(vas)
+def _batched_sweep(core, vas, rounds, op, warm, reduce):
+    """The batched engine: the whole sweep on the per-op row loop."""
     n = len(vas)
-    if n == 0:
-        return np.empty((0,) if reduce else (0, rounds), dtype=np.float64)
+    obs = core.obs
+    if obs.enabled:
+        obs.metrics.inc("engine.sweeps")
+        obs.metrics.inc("engine.probes", n * rounds)
+    with obs.span("probe-sweep", vas=n, rounds=rounds, op=op, warm=warm):
+        chaos = core.chaos if (core.chaos is not None and core.chaos.active) \
+            else None
+        state = _engine.SweepState(n, rounds, chaos)
+        _engine.sweep_rows(core, vas, rounds, op, warm, state, 0, n)
+        return _engine.finalize_sweep(core, state, warm, reduce)
 
-    reason = _delegate_reason(core)
+
+def columnar_sweep(core, vas, rounds, op="load", warm=True, reduce="mean",
+                   fallback=None):
+    """Columnar probe sweep: row-loop-equivalent, array-evolved.
+
+    Called through :meth:`repro.cpu.core.Core.probe_sweep` (which
+    validates the arguments and handles the empty sweep).  Identical
+    semantics to the batched row loop (measured matrix, clock, counters,
+    MMU state, chaos schedule); windows the compile step cannot prove
+    safe run through :func:`repro.cpu.engine.sweep_rows` instead.
+
+    ``fallback`` names a reason to run the whole sweep on the row loop
+    -- the batched engine (``"forced"``, ``"short-sweep"``); whole-sweep
+    conditions the columnar model does not cover (tracing, zero-mask-NOP
+    hardware, ...) delegate the same way.  Records a
+    :class:`~repro.cpu.engine.SweepReport` as ``core.last_sweep``.
+    """
+    n = len(vas)
+    reason = fallback or _delegate_reason(core)
     if reason is None:
         try:
             vas_u64 = np.array(vas, dtype=np.uint64)
         except (OverflowError, TypeError, ValueError):
             reason = "unrepresentable-vas"
     if reason is not None:
-        last_info.update(mode="delegated", reason=reason, columnar_rows=0,
-                         fallback_rows=n, windows=0)
-        return _engine.probe_sweep(core, vas, rounds, op=op, warm=warm,
-                                   reduce=reduce)
+        result = _batched_sweep(core, vas, rounds, op, warm, reduce)
+        core.last_sweep = _engine.SweepReport("batched", fallback_rows=n,
+                                              reason=reason)
+        return result
 
     chaos = core.chaos if (core.chaos is not None and core.chaos.active) \
         else None
@@ -639,7 +647,7 @@ def columnar_sweep(core, vas, rounds, op="load", warm=True, reduce="mean"):
                 ).astype(np.int64)
         columnar_rows += done
         start += done
-    last_info.update(mode="columnar", reason=None,
-                     columnar_rows=columnar_rows,
-                     fallback_rows=fallback_rows, windows=windows)
-    return _engine.finalize_sweep(core, state, warm, reduce)
+    result = _engine.finalize_sweep(core, state, warm, reduce)
+    core.last_sweep = _engine.SweepReport("columnar", columnar_rows,
+                                          fallback_rows, windows)
+    return result

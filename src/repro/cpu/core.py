@@ -25,6 +25,9 @@ from repro.obs.trace import NULL_TRACER
 #: cycles charged for one full software eviction of the translation caches
 EVICTION_COST_CYCLES = 4200
 
+#: the executors :meth:`Core.probe_sweep` accepts (None means "auto")
+SWEEP_ENGINES = ("per-op", "batched", "columnar", "auto")
+
 
 class Core:
     """One logical core bound to a CPU model."""
@@ -90,14 +93,16 @@ class Core:
         #: Tracer.attach() rebinds it, so hot paths can guard on
         #: ``self.obs.enabled`` without a None check
         self.obs = NULL_TRACER
+        #: :class:`~repro.cpu.engine.SweepReport` of the last probe_sweep
+        self.last_sweep = None
 
     def chaos_poll(self):
         """Fire any due disturbances (no-op on lab-quiet machines).
 
-        Both probe paths call this at the same probe boundaries (once per
-        probed VA, plus calibration/scan entry points), which is what
-        keeps the disturbance schedule identical across per-op and
-        batched modes for the same seed.
+        Every sweep engine calls this at the same probe boundaries (once
+        per probed VA, plus calibration/scan entry points), which is what
+        keeps the disturbance schedule identical across engines for the
+        same seed.
         """
         if self.chaos is not None:
             self.chaos.poll()
@@ -148,41 +153,61 @@ class Core:
 
     def probe_sweep(self, vas, rounds=None, op="load", warm=True,
                     reduce="mean", engine=None):
-        """Batched sweep measurement (see :mod:`repro.cpu.engine`).
+        """Measure every address in ``vas`` with ``rounds`` zero-mask probes.
 
-        Equivalent in simulated time, counter effects, and classification
-        outcomes to looping the scalar double/single probes; orders of
-        magnitude fewer Python-level ops.  ``rounds=None`` uses the CPU
-        model's default round count.
+        The one sweep entry point of every attack.  ``warm=True`` is the
+        paper's double probe (an untimed warming op before each timed
+        one); ``warm=False`` takes bare single probes, so the first
+        observation carries the cold first-access latency.  ``reduce`` is
+        ``"mean"``, ``"min"`` or None for the raw ``(len(vas), rounds)``
+        matrix; ``rounds=None`` uses the CPU model's default.
 
-        ``engine`` selects the sweep executor: ``"columnar"`` (the
-        struct-of-arrays core, :mod:`repro.cpu.columnar`), ``"batched"``
-        (the two-reference-ops row loop), or None/``"auto"`` -- columnar
-        for full-range scans (>= ``COLUMNAR_MIN_VAS`` addresses, tracing
-        off), batched otherwise.  All engines are bit-identical on
-        measured values, clock, counters and MMU state.
+        ``engine`` selects the executor (see :data:`SWEEP_ENGINES`):
+
+        * ``"per-op"`` -- the reference: one simulated op per probe
+          (:func:`repro.cpu.engine.per_op_sweep`), the oracle;
+        * ``"batched"`` -- the closed-form row loop
+          (:func:`repro.cpu.engine.sweep_rows`) over the whole sweep;
+        * ``"columnar"`` -- struct-of-arrays windows
+          (:mod:`repro.cpu.columnar`), falling back to the row loop
+          window by window;
+        * None/``"auto"`` -- columnar for sweeps of at least
+          ``COLUMNAR_MIN_VAS`` addresses, batched below.
+
+        Batched and columnar are bit-identical to each other and equal
+        per-op on clock, counters and MMU state; they draw the same noise
+        distribution from a differently ordered RNG stream.  How the
+        sweep ran is recorded in :attr:`last_sweep`.
         """
         from repro.cpu import columnar as _columnar
         from repro.cpu import engine as _engine
 
+        if engine is not None and engine not in SWEEP_ENGINES:
+            raise ConfigError(
+                "unknown sweep engine {!r} (use one of: {})".format(
+                    engine, ", ".join(SWEEP_ENGINES))
+            )
         if rounds is None:
             rounds = self.cpu.rounds_default
+        _engine.validate_sweep_args(op, reduce, rounds)
         vas = list(vas)
-        if engine is None or engine == "auto":
-            engine = "columnar" if (
-                not self.obs.enabled
-                and len(vas) >= _columnar.COLUMNAR_MIN_VAS
-            ) else "batched"
-        if engine == "columnar":
-            return _columnar.columnar_sweep(self, vas, rounds, op=op,
-                                            warm=warm, reduce=reduce)
-        if engine != "batched":
-            raise ConfigError(
-                "unknown sweep engine {!r} (use 'columnar', 'batched' or "
-                "'auto')".format(engine)
-            )
-        return _engine.probe_sweep(self, vas, rounds, op=op, warm=warm,
-                                   reduce=reduce)
+        if not vas:
+            self.last_sweep = _engine.SweepReport(engine or "auto")
+            return np.empty((0,) if reduce else (0, rounds),
+                            dtype=np.float64)
+        if engine == "per-op":
+            result = _engine.per_op_sweep(self, vas, rounds, op, warm,
+                                          reduce)
+            self.last_sweep = _engine.SweepReport("per-op")
+            return result
+        fallback = None
+        if engine == "batched":
+            fallback = "forced"
+        elif engine != "columnar" \
+                and len(vas) < _columnar.COLUMNAR_MIN_VAS:
+            fallback = "short-sweep"
+        return _columnar.columnar_sweep(self, vas, rounds, op=op, warm=warm,
+                                        reduce=reduce, fallback=fallback)
 
     def timed_masked_load(self, va, mask=ZERO_MASK, element_size=4):
         """RDTSC / op / RDTSCP measurement of one masked load.

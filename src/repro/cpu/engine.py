@@ -1,10 +1,16 @@
-"""Batched probe engine: the fast path for sweep-shaped measurement.
+"""Sweep execution: the per-op reference loop and the batched row loop.
 
 Every paper experiment is a probe *sweep* -- the same masked op repeated
-``rounds`` times over each address of a long scan range.  The per-op
-simulator executes each of those ops as an isolated Python call; this
-module exploits the simulator's own steady-state property to skip almost
-all of them:
+``rounds`` times over each address of a long scan range.
+:meth:`repro.cpu.core.Core.probe_sweep` is the one entry point; this
+module holds the building blocks its engines share.
+
+:func:`per_op_sweep` is the reference: it executes every probe as an
+isolated simulated op, exactly like the hand-written double/single
+probe loops of the paper.  It is the oracle.
+
+:func:`sweep_rows` is the batched row loop.  It exploits the
+simulator's own steady-state property to skip almost all ops:
 
 * the **first** access to a VA changes microarchitectural state (TLB
   fill, PSC fill, paging lines turning hot) and has a distinct latency;
@@ -12,7 +18,7 @@ all of them:
   after it is *idempotent*: identical cycles, identical performance-
   counter deltas, no further state change.
 
-So the engine executes at most two reference ops per VA through the
+So the row loop executes at most two reference ops per VA through the
 bit-exact per-op path, then accounts for the skipped repetitions in
 closed form:
 
@@ -28,16 +34,13 @@ closed form:
   noise values -- but not their statistics or the classification
   outcomes -- differ from the per-op path).
 
-The per-op simulator remains the reference; equivalence tests cross-
-validate recovered bases / module lists / regions between both paths.
-
-The row loop is factored into :func:`sweep_rows` (execute rows ``lo..hi``
-of a sweep through the per-op reference path) and :func:`finalize_sweep`
-(the vectorized noise/coarsening/reduce tail) so the columnar engine
-(:mod:`repro.cpu.columnar`) can reuse both: it executes eligible row
-ranges as array passes and delegates the rest to ``sweep_rows``, then
-both paths share one finalize -- which is what keeps the two engines
-bit-identical on the measured matrix.
+The columnar engine (:mod:`repro.cpu.columnar`) executes eligible row
+ranges as array passes and hands the rest to ``sweep_rows``; both write
+one :class:`SweepState` and share one :func:`finalize_sweep` (the
+vectorized noise/coarsening/reduce tail), which is what keeps the
+batched and columnar engines bit-identical on the measured matrix.  The
+batched engine is the columnar engine with every row forced onto
+``sweep_rows``.
 """
 
 import numpy as np
@@ -186,6 +189,11 @@ def finalize_sweep(core, state, warm, reduce):
     elif core.timer_resolution > 1:
         measured -= measured % core.timer_resolution
 
+    return reduce_measured(measured, reduce)
+
+
+def reduce_measured(measured, reduce):
+    """Collapse a ``(n, rounds)`` observation matrix per ``reduce``."""
     if reduce == "mean":
         return measured.mean(axis=1)
     if reduce == "min":
@@ -194,7 +202,7 @@ def finalize_sweep(core, state, warm, reduce):
 
 
 def validate_sweep_args(op, reduce, rounds):
-    """Shared argument validation for both sweep engines."""
+    """Shared argument validation for every sweep engine."""
     if op not in ("load", "store"):
         raise ValueError("op must be 'load' or 'store', not {!r}".format(op))
     if reduce not in ("mean", "min", None):
@@ -203,35 +211,52 @@ def validate_sweep_args(op, reduce, rounds):
         raise ValueError("rounds must be >= 1")
 
 
-def probe_sweep(core, vas, rounds, op="load", warm=True, reduce="mean"):
-    """Measure every address in ``vas`` with ``rounds`` probes each.
+def per_op_sweep(core, vas, rounds, op, warm, reduce):
+    """The per-op reference engine: every probe is one simulated op.
 
-    ``warm=True`` models the paper's double probe: each timed measurement
-    is preceded by an untimed warming op, so all ``rounds`` observations
-    sit at the steady-state latency.  ``warm=False`` models bare repeated
-    single probes (the userspace scans): the first observation carries
-    the cold first-access latency.
-
-    ``reduce`` is ``"mean"`` (double-probe convention), ``"min"``
-    (module/userspace scans), or ``None`` for the raw
-    ``(len(vas), rounds)`` observation matrix (batched calibration).
-
-    Only zero-mask probes are supported -- active elements could fault
-    mid-sweep, which the closed-form replay cannot express.
+    Per VA: one chaos poll, then ``rounds`` x (an untimed warming op if
+    ``warm``, then a timed op) -- the paper's double probe
+    (:func:`repro.attacks.primitives.double_probe_load`) or bare single
+    probes, with no closed-form replay.  Values, clock, counters, RNG
+    stream and chaos schedule equal those of looping the primitives
+    directly; this is the oracle the batched and columnar engines are
+    checked against.
     """
-    validate_sweep_args(op, reduce, rounds)
-    vas = list(vas)
-    n = len(vas)
-    if n == 0:
-        return np.empty((0,) if reduce else (0, rounds), dtype=np.float64)
+    if op == "load":
+        warm_op, timed_op = core.masked_load, core.timed_masked_load
+    else:
+        warm_op, timed_op = core.masked_store, core.timed_masked_store
+    rows = []
+    for va in vas:
+        core.chaos_poll()
+        row = []
+        for _ in range(rounds):
+            if warm:
+                warm_op(va)
+            row.append(timed_op(va))
+        rows.append(row)
+    return reduce_measured(np.array(rows, dtype=np.int64), reduce)
 
-    obs = core.obs
-    if obs.enabled:
-        obs.metrics.inc("engine.sweeps")
-        obs.metrics.inc("engine.probes", n * rounds)
-    with obs.span("probe-sweep", vas=n, rounds=rounds, op=op, warm=warm):
-        chaos = core.chaos if (core.chaos is not None and core.chaos.active) \
-            else None
-        state = SweepState(n, rounds, chaos)
-        sweep_rows(core, vas, rounds, op, warm, state, 0, n)
-        return finalize_sweep(core, state, warm, reduce)
+
+class SweepReport:
+    """How the last :meth:`repro.cpu.core.Core.probe_sweep` executed.
+
+    Recorded as ``core.last_sweep``.  ``engine`` is the executor that
+    ran: ``"per-op"``, ``"batched"`` (the row loop over the whole sweep)
+    or ``"columnar"`` (array windows; windows the compiler could not
+    prove safe count as ``fallback_rows``).  ``reason`` says why a
+    sweep ran whole on the row loop: ``"forced"`` (``engine="batched"``),
+    ``"short-sweep"`` (auto selection below the columnar floor) or a
+    columnar delegation reason such as ``"tracing"``.
+    """
+
+    __slots__ = ("engine", "columnar_rows", "fallback_rows", "windows",
+                 "reason")
+
+    def __init__(self, engine, columnar_rows=0, fallback_rows=0, windows=0,
+                 reason=None):
+        self.engine = engine
+        self.columnar_rows = columnar_rows
+        self.fallback_rows = fallback_rows
+        self.windows = windows
+        self.reason = reason

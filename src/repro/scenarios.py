@@ -25,6 +25,7 @@ import pathlib
 import signal
 import time
 
+from repro.cpu.core import SWEEP_ENGINES
 from repro.errors import ConfigError
 from repro.machine import Machine
 
@@ -44,7 +45,7 @@ def _run_kaslr(machine, params):
     from repro.attacks.kaslr_break import break_kaslr
 
     result = break_kaslr(machine, rounds=params.get("rounds"),
-                         batched=params.get("batched", True))
+                         engine=params.get("engine"))
     return {
         "correct": result.base == machine.kernel.base,
         "base": result.base,
@@ -59,7 +60,7 @@ def _run_modules(machine, params):
     from repro.attacks.module_detect import detect_modules, region_accuracy
 
     result = detect_modules(machine, rounds=params.get("rounds"),
-                            batched=params.get("batched", True))
+                            engine=params.get("engine"))
     return {
         "correct": region_accuracy(result, machine.kernel) >= params.get(
             "min_accuracy", 0.98
@@ -77,7 +78,7 @@ def _run_kpti(machine, params):
 
     result = break_kaslr_kpti(
         machine, trampoline_offset=params.get("trampoline_offset"),
-        batched=params.get("batched", True),
+        engine=params.get("engine"),
     )
     return {
         "correct": result.base == machine.kernel.base,
@@ -92,7 +93,7 @@ def _run_windows_region(machine, params):
     from repro.attacks.windows_break import find_kernel_region
 
     result = find_kernel_region(machine,
-                                batched=params.get("batched", True))
+                                engine=params.get("engine"))
     return {
         "correct": result.base == machine.kernel.base,
         "base": result.base,
@@ -106,7 +107,7 @@ def _run_windows_kvas(machine, params):
     from repro.attacks.windows_break import find_kvas_region
 
     result = find_kvas_region(machine,
-                              batched=params.get("batched", True))
+                              engine=params.get("engine"))
     return {
         "correct": result.base == machine.kernel.base,
         "base": result.base,
@@ -119,7 +120,7 @@ def _run_user_scan(machine, params):
     from repro.attacks.userspace import find_user_code_base
 
     result = find_user_code_base(machine,
-                                 batched=params.get("batched", True))
+                                 engine=params.get("engine"))
     return {
         "correct": result.base == machine.process.text_base,
         "base": result.base,
@@ -152,7 +153,7 @@ def _run_supervised(machine, params):
         machine, attack,
         max_retries=params.pop("max_retries", 3),
         probe_budget=params.pop("probe_budget", None),
-        batched=params.pop("batched", True),
+        engine=params.pop("engine", None),
         **params,
     )
     observations = {
@@ -235,7 +236,7 @@ def _run_fingerprint(machine, params):
 
     app = params.get("app", "video-call")
     spy = ApplicationFingerprinter(machine,
-                                   batched=params.get("batched", True))
+                                   engine=params.get("engine"))
     workload = ApplicationWorkload(app, seed=params.get("victim_seed", 1))
     guess, __, __ = spy.identify(
         workload, list(APP_CATALOG.values()),
@@ -388,6 +389,23 @@ def _check_expectations(expect, observations):
     return violations
 
 
+def _check_engine_param(params):
+    """Reject a bad sweep-engine attack param before the machine boots."""
+    if "batched" in params:
+        raise ConfigError(
+            'attack param "batched" is gone: sweeps pick their engine '
+            'with "engine" (drop it for the automatic choice, or use '
+            '"engine": "per-op" for the per-op reference path)'
+        )
+    engine = params.get("engine")
+    if engine is not None and engine not in SWEEP_ENGINES:
+        raise ConfigError(
+            "unknown sweep engine {!r}; known: {}".format(
+                engine, ", ".join(SWEEP_ENGINES)
+            )
+        )
+
+
 def run_scenario(scenario):
     """Run one scenario (dict, JSON text, or file path)."""
     if isinstance(scenario, (str, pathlib.Path)):
@@ -415,6 +433,7 @@ def run_scenario(scenario):
                 kind, ", ".join(sorted(_ATTACKS))
             )
         )
+    _check_engine_param(attack_spec)
     machine = _build_machine(scenario["machine"])
     observations = _ATTACKS[kind](machine, attack_spec)
     violations = _check_expectations(

@@ -48,8 +48,8 @@ class TestQuietIsANoOp:
         plain = Machine.linux(seed=5)
         quiet = Machine.linux(seed=5, chaos="quiet")
         assert quiet.chaos is not None and not quiet.chaos.active
-        r_plain = break_kaslr_intel(plain, batched=True)
-        r_quiet = break_kaslr_intel(quiet, batched=True)
+        r_plain = break_kaslr_intel(plain)
+        r_quiet = break_kaslr_intel(quiet)
         assert list(r_plain.timings) == list(r_quiet.timings)
         assert plain.clock.cycles == quiet.clock.cycles
         assert r_plain.base == r_quiet.base
@@ -61,7 +61,7 @@ class TestScheduleDeterminism:
         logs = []
         for _ in range(2):
             machine = Machine.linux(seed=13, chaos="default")
-            break_kaslr_intel(machine, batched=True)
+            break_kaslr_intel(machine)
             logs.append(_event_log(machine))
         assert logs[0] == logs[1]
         assert logs[0]  # the default profile does fire during a break
@@ -70,21 +70,21 @@ class TestScheduleDeterminism:
         logs = []
         for seed in (13, 14):
             machine = Machine.linux(seed=seed, chaos="default")
-            break_kaslr_intel(machine, batched=True)
+            break_kaslr_intel(machine)
             logs.append(_event_log(machine))
         assert logs[0] != logs[1]
 
     def test_per_op_and_batched_see_identical_disturbances(self):
         outcomes = []
-        for batched in (True, False):
+        for engine in (None, "per-op"):
             machine = Machine.linux(seed=7, chaos="default")
-            break_kaslr_intel(machine, batched=batched)
+            break_kaslr_intel(machine, engine=engine)
             outcomes.append((_event_log(machine), machine.clock.cycles))
         assert outcomes[0] == outcomes[1]
 
     def test_events_fire_in_clock_order_with_armed_kinds_only(self):
         machine = Machine.linux(seed=21, chaos="hostile")
-        break_kaslr_intel(machine, batched=True)
+        break_kaslr_intel(machine)
         log = _event_log(machine)
         armed = set(get_chaos_profile("hostile").active_kinds)
         assert {e["kind"] for e in log} <= armed

@@ -1,6 +1,11 @@
-"""The columnar engine, cross-validated against batched and per-op paths.
+"""The sweep engines, cross-validated: per-op, batched and columnar.
 
-The contract under test (see :mod:`repro.cpu.columnar`):
+The contract under test (see :meth:`repro.cpu.core.Core.probe_sweep`):
+
+* **the per-op engine is the primitive loop** -- ``engine="per-op"``
+  returns exactly the values of the hand-written double/single probe
+  loops, with the same clock, counters, TLB image, RNG state and chaos
+  schedule, for every sweep shape the drivers use;
 
 * **bit-exactness vs batched** -- the columnar path produces the *same
   bytes*: measured matrix, simulated clock, performance counters, TLB
@@ -25,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.attacks.kaslr_break import break_kaslr, break_kaslr_intel
 from repro.attacks.module_detect import detect_modules
-from repro.attacks.primitives import double_probe_load
+from repro.attacks.primitives import double_probe_load, double_probe_store
 from repro.attacks.supervisor import supervise
 from repro.attacks.userspace import find_user_code_base
 from repro.cpu import columnar
@@ -89,6 +94,39 @@ TARGETS = {
 }
 
 
+#: every (op, warm, reduce) shape a driver sweeps: the TARGETS, the module
+#: scan's double probe with min-filter, and the store-threshold calibration
+DRIVER_SHAPES = dict(
+    TARGETS,
+    **{
+        "module-detect": (
+            lambda machine: _module_vas(machine)[:512],
+            dict(rounds=3, op="load", warm=True, reduce="min"),
+        ),
+        "calibration": (
+            lambda machine: [machine.playground.user_rw],
+            dict(rounds=600, op="store", warm=False, reduce=None),
+        ),
+    }
+)
+
+
+def _primitive_loop(core, vas, rounds, op, warm, reduce):
+    """The paper's probe loops, written directly against the primitives."""
+    if warm:
+        probe = double_probe_load if op == "load" else double_probe_store
+        return [probe(core, va, rounds, take_min=reduce == "min")
+                for va in vas]
+    timed = core.timed_masked_load if op == "load" \
+        else core.timed_masked_store
+    values = []
+    for va in vas:
+        core.chaos_poll()
+        samples = [timed(va) for _ in range(rounds)]
+        values.append(min(samples) if reduce == "min" else samples)
+    return values
+
+
 def _run_pair(target, cpu, chaos=None, seed=42):
     """Same sweep on twin machines: batched vs columnar."""
     make_vas, kwargs = TARGETS[target]
@@ -101,6 +139,30 @@ def _run_pair(target, cpu, chaos=None, seed=42):
     return batched, col, rb, rc
 
 
+class TestPerOpEngine:
+    """``engine="per-op"`` is exactly the primitive loops it replaces."""
+
+    @pytest.mark.parametrize("chaos", [None, "default"])
+    @pytest.mark.parametrize("cpu", CPUS)
+    @pytest.mark.parametrize("shape", sorted(DRIVER_SHAPES))
+    def test_equals_primitive_loop(self, shape, cpu, chaos):
+        make_vas, kwargs = DRIVER_SHAPES[shape]
+        loop = Machine.linux(cpu=cpu, seed=42, chaos=chaos)
+        perop = Machine.linux(cpu=cpu, seed=42, chaos=chaos)
+        vas = make_vas(loop)
+        assert make_vas(perop) == vas
+        reference = _primitive_loop(loop.core, vas, **kwargs)
+        measured = perop.core.probe_sweep(vas, engine="per-op", **kwargs)
+        assert measured.tolist() == reference
+        assert _machine_state(loop) == _machine_state(perop)
+        assert (loop.core.rng.bit_generator.state
+                == perop.core.rng.bit_generator.state)
+        if chaos is not None:
+            assert (loop.core.chaos.schedule_digest()
+                    == perop.core.chaos.schedule_digest())
+        assert perop.core.last_sweep.engine == "per-op"
+
+
 class TestBitExactVsBatched:
     """Columnar output and machine state equal the batched engine's."""
 
@@ -110,8 +172,8 @@ class TestBitExactVsBatched:
         batched, col, rb, rc = _run_pair(target, cpu)
         assert np.array_equal(rb, rc)
         assert _machine_state(batched) == _machine_state(col)
-        assert columnar.last_info["mode"] == "columnar"
-        assert columnar.last_info["fallback_rows"] == 0
+        assert col.core.last_sweep.engine == "columnar"
+        assert col.core.last_sweep.fallback_rows == 0
 
     @pytest.mark.parametrize("cpu", CPUS)
     @pytest.mark.parametrize("target", sorted(TARGETS))
@@ -130,7 +192,7 @@ class TestBitExactVsBatched:
         assert (batched.core.chaos.log_as_dicts()
                 == col.core.chaos.log_as_dicts())
         # hostile profiles force mid-sweep re-segmentation
-        assert columnar.last_info["windows"] > 1
+        assert col.core.last_sweep.windows > 1
 
     def test_raw_matrix_reduce_none(self):
         batched = Machine.linux(seed=9)
@@ -168,7 +230,7 @@ class TestBitExactVsBatched:
         rc = col.core.probe_sweep(vas, rounds=2, engine="columnar")
         assert np.array_equal(rb, rc)
         assert _machine_state(batched) == _machine_state(col)
-        assert columnar.last_info["fallback_rows"] > 0
+        assert col.core.last_sweep.fallback_rows > 0
 
     def test_duplicate_pages_fall_back_bit_exact(self):
         batched = Machine.linux(seed=13)
@@ -294,15 +356,15 @@ class TestSelectionAndDelegation:
     def test_auto_picks_columnar_for_full_range(self):
         machine = Machine.linux(seed=1)
         machine.core.probe_sweep(_module_vas(machine)[:64], rounds=2)
-        assert columnar.last_info["mode"] == "columnar"
+        assert machine.core.last_sweep.engine == "columnar"
 
     def test_auto_picks_batched_below_min(self):
         machine = Machine.linux(seed=1)
-        columnar.last_info.update(mode=None)
         machine.core.probe_sweep(
             _module_vas(machine)[:columnar.COLUMNAR_MIN_VAS - 1], rounds=2
         )
-        assert columnar.last_info["mode"] is None  # columnar never entered
+        assert machine.core.last_sweep.engine == "batched"
+        assert machine.core.last_sweep.reason == "short-sweep"
 
     def test_unknown_engine_rejected(self):
         machine = Machine.linux(seed=1)
@@ -318,8 +380,8 @@ class TestSelectionAndDelegation:
         vas = _module_vas(machine)[:64]
         rb = twin.core.probe_sweep(vas, rounds=2, engine="batched")
         rc = machine.core.probe_sweep(vas, rounds=2, engine="columnar")
-        assert columnar.last_info["mode"] == "delegated"
-        assert columnar.last_info["reason"] == "zero-mask-nop"
+        assert machine.core.last_sweep.engine == "batched"
+        assert machine.core.last_sweep.reason == "zero-mask-nop"
         assert np.array_equal(rb, rc)
 
     def test_tracing_delegates(self, tmp_path):
@@ -328,8 +390,8 @@ class TestSelectionAndDelegation:
         Tracer(str(tmp_path / "t.jsonl")).attach(machine)
         machine.core.probe_sweep(_module_vas(machine)[:64], rounds=2,
                                  engine="columnar")
-        assert columnar.last_info["mode"] == "delegated"
-        assert columnar.last_info["reason"] == "tracing"
+        assert machine.core.last_sweep.engine == "batched"
+        assert machine.core.last_sweep.reason == "tracing"
 
 
 class TestAttackLevelEquivalence:
@@ -339,9 +401,9 @@ class TestAttackLevelEquivalence:
     def test_kaslr_three_way(self, cpu):
         results = {}
         for arm, kwargs in (
-            ("per-op", dict(batched=False)),
-            ("batched", dict(batched=True, engine="batched")),
-            ("columnar", dict(batched=True, engine="columnar")),
+            ("per-op", dict(engine="per-op")),
+            ("batched", dict(engine="batched")),
+            ("columnar", dict(engine="columnar")),
         ):
             machine = Machine.linux(cpu=cpu, seed=77)
             results[arm] = (break_kaslr(machine, **kwargs).base,
@@ -355,9 +417,9 @@ class TestAttackLevelEquivalence:
     def test_modules_three_way(self):
         recovered = {}
         for arm, kwargs in (
-            ("per-op", dict(batched=False)),
-            ("batched", dict(batched=True, engine="batched")),
-            ("columnar", dict(batched=True, engine="columnar")),
+            ("per-op", dict(engine="per-op")),
+            ("batched", dict(engine="batched")),
+            ("columnar", dict(engine="columnar")),
         ):
             machine = Machine.linux(seed=31)
             result = detect_modules(machine, max_slots=2048, **kwargs)
@@ -369,9 +431,9 @@ class TestAttackLevelEquivalence:
     def test_userspace_three_way(self):
         found = {}
         for arm, kwargs in (
-            ("per-op", dict(batched=False)),
-            ("batched", dict(batched=True, engine="batched")),
-            ("columnar", dict(batched=True, engine="columnar")),
+            ("per-op", dict(engine="per-op")),
+            ("batched", dict(engine="batched")),
+            ("columnar", dict(engine="columnar")),
         ):
             machine = Machine.linux(seed=19)
             result = find_user_code_base(machine, **kwargs)
@@ -385,7 +447,7 @@ class TestAttackLevelEquivalence:
         def run(min_vas):
             monkeypatch.setattr(columnar, "COLUMNAR_MIN_VAS", min_vas)
             machine = Machine.linux(seed=101, chaos="default")
-            verdict = supervise(machine, "kaslr", batched=True)
+            verdict = supervise(machine, "kaslr")
             return (verdict.status, verdict.value, verdict.confidence,
                     machine.core.clock.cycles,
                     machine.core.chaos.schedule_digest())

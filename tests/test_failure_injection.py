@@ -92,7 +92,7 @@ class TestMidRunDisturbances:
 
     def test_raw_attack_survives_the_default_profile(self):
         machine = Machine.linux(seed=960, chaos="default", kpti=False)
-        result = break_kaslr_intel(machine, batched=True)
+        result = break_kaslr_intel(machine)
         # open-loop: completes and returns a full scan, right or wrong,
         # never an exception
         assert len(result.timings) == 512
@@ -100,22 +100,22 @@ class TestMidRunDisturbances:
 
     def test_raw_attack_survives_the_hostile_profile(self):
         machine = Machine.linux(seed=961, chaos="hostile", kpti=False)
-        result = break_kaslr_intel(machine, batched=True)
+        result = break_kaslr_intel(machine)
         assert len(result.timings) == 512
 
     def test_supervised_attack_closes_the_loop(self):
         from repro.attacks.supervisor import supervise
 
         machine = Machine.linux(seed=961, chaos="hostile", kpti=False)
-        verdict = supervise(machine, "kaslr", batched=True)
+        verdict = supervise(machine, "kaslr")
         assert verdict.status in ("found", "abstain", "failed")
         assert verdict.disturbances
 
     def test_chaos_schedule_is_mode_agnostic(self):
         outcomes = []
-        for batched in (True, False):
+        for engine in (None, "per-op"):
             machine = Machine.linux(seed=962, chaos="default", kpti=False)
-            break_kaslr_intel(machine, batched=batched)
+            break_kaslr_intel(machine, engine=engine)
             outcomes.append(
                 (machine.chaos.log_as_dicts(), machine.clock.cycles)
             )
@@ -123,7 +123,7 @@ class TestMidRunDisturbances:
 
     def test_module_detection_under_chaos_returns_regions(self):
         machine = Machine.linux(seed=963, chaos="default", kpti=False)
-        result = detect_modules(machine, batched=True)
+        result = detect_modules(machine)
         assert result.regions  # degraded maybe, but never empty-handed
 
 

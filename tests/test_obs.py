@@ -178,7 +178,7 @@ class TestTracer:
 def _traced_supervised_kaslr(seed):
     machine = Machine.linux(seed=seed, chaos="default", kpti=False)
     tracer = Tracer().attach(machine)
-    verdict = supervise(machine, "kaslr", batched=True)
+    verdict = supervise(machine, "kaslr")
     return tracer.finish(wall_ms=time.perf_counter()), verdict
 
 
@@ -210,7 +210,7 @@ class TestDeterminism:
     def test_plain_attack_trace_has_sweeps_and_metrics(self):
         machine = Machine.linux(seed=3)
         tracer = Tracer().attach(machine)
-        result = break_kaslr(machine, batched=True)
+        result = break_kaslr(machine)
         assert result.base == machine.kernel.base
         records = tracer.finish()
         sweeps = [r for r in records if r["type"] == "span"

@@ -129,9 +129,9 @@ class TestBatchedEquivalence:
                                      "ryzen5-5600X"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_kaslr_base_recovery_matches(self, cpu, seed):
-        reference = break_kaslr(Machine.linux(cpu=cpu, seed=seed))
-        batched = break_kaslr(Machine.linux(cpu=cpu, seed=seed),
-                              batched=True)
+        reference = break_kaslr(Machine.linux(cpu=cpu, seed=seed),
+                                engine="per-op")
+        batched = break_kaslr(Machine.linux(cpu=cpu, seed=seed))
         assert batched.method == reference.method
         assert batched.base == reference.base
         assert batched.slot == reference.slot
@@ -139,17 +139,17 @@ class TestBatchedEquivalence:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_kpti_base_recovery_matches(self, seed):
-        reference = break_kaslr(Machine.linux(seed=seed, kpti=True))
-        batched = break_kaslr(Machine.linux(seed=seed, kpti=True),
-                              batched=True)
+        reference = break_kaslr(Machine.linux(seed=seed, kpti=True),
+                                engine="per-op")
+        batched = break_kaslr(Machine.linux(seed=seed, kpti=True))
         assert reference.method == "kpti-trampoline"
         assert batched.base == reference.base
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_module_detection_matches(self, seed):
-        reference = detect_modules(Machine.linux(seed=seed), max_slots=3072)
-        batched = detect_modules(Machine.linux(seed=seed), max_slots=3072,
-                                 batched=True)
+        reference = detect_modules(Machine.linux(seed=seed), max_slots=3072,
+                                   engine="per-op")
+        batched = detect_modules(Machine.linux(seed=seed), max_slots=3072)
         assert batched.identified == reference.identified
         assert (
             [(r.start, r.pages) for r in batched.regions]
@@ -158,16 +158,16 @@ class TestBatchedEquivalence:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_windows_region_matches(self, seed):
-        reference = find_kernel_region(Machine.windows(seed=seed))
-        batched = find_kernel_region(Machine.windows(seed=seed),
-                                     batched=True)
+        reference = find_kernel_region(Machine.windows(seed=seed),
+                                       engine="per-op")
+        batched = find_kernel_region(Machine.windows(seed=seed))
         assert batched.base == reference.base
         assert batched.region_slots == reference.region_slots
         assert batched.base is not None
 
     def test_batched_run_is_deterministic(self):
-        first = break_kaslr(Machine.linux(seed=6), batched=True)
-        second = break_kaslr(Machine.linux(seed=6), batched=True)
+        first = break_kaslr(Machine.linux(seed=6))
+        second = break_kaslr(Machine.linux(seed=6))
         assert first.base == second.base
         assert first.timings == second.timings
         assert first.threshold == second.threshold

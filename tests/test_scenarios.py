@@ -22,6 +22,10 @@ def _scenario(**overrides):
     return base
 
 
+def _no_boot(spec):
+    raise AssertionError("the machine booted before the spec was checked")
+
+
 class TestRunScenario:
     def test_dict_input(self):
         result = run_scenario(_scenario())
@@ -44,6 +48,18 @@ class TestRunScenario:
     def test_unknown_os(self):
         with pytest.raises(ConfigError):
             run_scenario(_scenario(machine={"os": "plan9"}))
+
+    def test_leftover_batched_param_rejected_before_boot(self, monkeypatch):
+        monkeypatch.setattr("repro.scenarios._build_machine", _no_boot)
+        with pytest.raises(ConfigError, match='"engine": "per-op"'):
+            run_scenario(_scenario(attack={"kind": "kaslr",
+                                           "batched": False}))
+
+    def test_unknown_engine_rejected_before_boot(self, monkeypatch):
+        monkeypatch.setattr("repro.scenarios._build_machine", _no_boot)
+        with pytest.raises(ConfigError, match="simd"):
+            run_scenario(_scenario(attack={"kind": "kaslr",
+                                           "engine": "simd"}))
 
     def test_max_expectation_violation(self):
         result = run_scenario(

@@ -22,7 +22,7 @@ class TestAcceptanceCriterion:
         correct = 0
         for seed in range(10):
             machine = Machine.linux(seed=seed, chaos="default", kpti=False)
-            verdict = supervise(machine, "kaslr", batched=True)
+            verdict = supervise(machine, "kaslr")
             assert verdict.retries <= 3
             assert verdict.status in (FOUND, ABSTAIN, FAILED)
             assert verdict.disturbances  # log populated
@@ -33,7 +33,7 @@ class TestAcceptanceCriterion:
     def test_no_disturbance_surfaces_as_an_exception(self):
         for profile in ("default", "hostile", "rerandomizing"):
             machine = Machine.linux(seed=3, chaos=profile, kpti=False)
-            verdict = supervise(machine, "kaslr", batched=True)
+            verdict = supervise(machine, "kaslr")
             assert isinstance(verdict, Verdict)
             assert verdict.status in (FOUND, ABSTAIN, FAILED)
 
@@ -41,7 +41,7 @@ class TestAcceptanceCriterion:
 class TestVerdictShape:
     def test_as_dict_round_trip(self):
         machine = Machine.linux(seed=1, chaos="default", kpti=False)
-        verdict = supervise(machine, "kaslr", batched=True)
+        verdict = supervise(machine, "kaslr")
         record = verdict.as_dict()
         for key in ("attack", "status", "value", "confidence", "retries",
                     "attempts", "disturbances", "probes_spent",
@@ -54,7 +54,7 @@ class TestVerdictShape:
 
     def test_without_chaos_the_supervisor_still_works(self):
         machine = Machine.linux(seed=2, kpti=False)
-        verdict = supervise(machine, "kaslr", batched=True)
+        verdict = supervise(machine, "kaslr")
         assert verdict.found
         assert verdict.value == machine.kernel.base
         assert verdict.disturbances == []
@@ -73,12 +73,13 @@ class TestVerdictShape:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_same_seed_same_verdict_and_clock(self, batched):
+    @pytest.mark.parametrize("engine", [None, "per-op"],
+                             ids=["auto", "per-op"])
+    def test_same_seed_same_verdict_and_clock(self, engine):
         outcomes = []
         for _ in range(2):
             machine = Machine.linux(seed=6, chaos="default", kpti=False)
-            verdict = supervise(machine, "kaslr", batched=batched)
+            verdict = supervise(machine, "kaslr", engine=engine)
             outcomes.append((verdict.as_dict(), machine.clock.cycles))
         assert outcomes[0] == outcomes[1]
 
@@ -86,7 +87,7 @@ class TestDeterminism:
         outcomes = []
         for _ in range(2):
             machine = Machine.linux(seed=9, chaos="hostile", kpti=False)
-            verdict = supervise(machine, "kaslr", batched=True)
+            verdict = supervise(machine, "kaslr")
             outcomes.append((verdict.as_dict(), machine.clock.cycles))
         assert outcomes[0] == outcomes[1]
 
@@ -123,7 +124,7 @@ class TestFeedbackMechanisms:
 
     def test_rerandomization_aborts_and_retries(self):
         machine = Machine.linux(seed=4, chaos="rerandomizing", kpti=False)
-        verdict = supervise(machine, "kaslr", batched=True)
+        verdict = supervise(machine, "kaslr")
         outcomes = [a.outcome for a in verdict.attempts]
         assert "rerandomized" in outcomes
         assert verdict.found
@@ -131,20 +132,20 @@ class TestFeedbackMechanisms:
 
     def test_retries_are_bounded(self):
         machine = Machine.linux(seed=5, chaos="rerandomizing", kpti=False)
-        verdict = supervise(machine, "kaslr", max_retries=1, batched=True)
+        verdict = supervise(machine, "kaslr", max_retries=1)
         assert len(verdict.attempts) <= 2
 
 
 class TestOtherAttacks:
     def test_kpti_supervised_under_chaos(self):
         machine = Machine.linux(seed=2, chaos="default", kpti=True)
-        verdict = supervise(machine, "kpti", batched=True)
+        verdict = supervise(machine, "kpti")
         assert verdict.found
         assert verdict.value == machine.kernel.base
 
     def test_modules_supervised_under_chaos(self):
         machine = Machine.linux(seed=11, chaos="default", kpti=False)
-        verdict = supervise(machine, "modules", batched=True)
+        verdict = supervise(machine, "modules")
         assert verdict.found
         truth = machine.kernel.module_map
         assert verdict.value
@@ -153,7 +154,7 @@ class TestOtherAttacks:
 
     def test_windows_supervised_under_chaos(self):
         machine = Machine.windows(seed=2, chaos="default")
-        verdict = supervise(machine, "windows", batched=True)
+        verdict = supervise(machine, "windows")
         assert verdict.found
         assert verdict.value == machine.kernel.base
 
@@ -165,6 +166,6 @@ class TestOtherAttacks:
 
     def test_amd_variant_routes_through_vote_confidence(self):
         machine = Machine.linux(cpu="ryzen5-5600X", seed=3, chaos="quiet")
-        verdict = supervise(machine, "kaslr", batched=True)
+        verdict = supervise(machine, "kaslr")
         assert verdict.found
         assert verdict.value == machine.kernel.base

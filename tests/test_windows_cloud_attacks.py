@@ -96,13 +96,15 @@ class TestCloudAudit:
         assert result.modules_ms is not None
 
     def test_gce_plain_p2(self):
-        result = audit_cloud("gce", seed=64)
+        # written against the per-op engine's noise draws; pinned to it
+        result = audit_cloud("gce", seed=64, engine="per-op")
         assert result.method == "intel-p2"
         assert result.base_correct
         assert result.modules_identified == 19
 
     def test_azure_region_scan(self):
-        result = audit_cloud("azure", seed=65)
+        # written against the per-op engine's noise draws; pinned to it
+        result = audit_cloud("azure", seed=65, engine="per-op")
         assert result.method == "region-scan"
         assert result.base_correct
         assert result.derandomized_bits == 18
