@@ -1,12 +1,15 @@
 """Durability cost of the crash-safe campaign runner.
 
-Two questions, both measured host-side:
+Three questions, all measured host-side:
 
 * how fast is the write-ahead journal -- fsync'd appends per second and
   full-replay throughput over a realistically sized record stream,
 * what does campaign supervision (journal + watchdog pool + atomic
-  store) cost over the bare ``run_suite`` path for the same scenario
-  directory, with the per-unit verdicts cross-checked between the two.
+  store, on one shard) cost over the bare ``run_suite`` path for the
+  same scenario directory, with the per-unit verdicts cross-checked
+  between the two,
+* what do four shard fault domains cost over one shard at the same
+  total worker budget.
 
 The numbers land in ``BENCH_campaign.json`` at the repo root so the
 overhead trajectory is tracked from this change onward.
@@ -22,7 +25,6 @@ from _bench_utils import once, write_result
 from repro.analysis.report import format_table
 from repro.campaign import (
     CampaignJournal,
-    CampaignRunner,
     ShardedCampaignRunner,
     replay,
 )
@@ -70,16 +72,17 @@ def _bench_journal():
 
 
 def _bench_overhead():
-    """Campaign supervision vs bare run_suite on the shipped scenarios."""
+    """One-shard campaign supervision vs bare run_suite on the shipped
+    scenarios."""
     start = time.perf_counter()
     suite_results = run_suite(SCENARIO_DIR)
     suite_s = time.perf_counter() - start
     suite_verdicts = {r.name: r.passed for r in suite_results}
 
     with tempfile.TemporaryDirectory() as tmp:
-        runner = CampaignRunner(
+        runner = ShardedCampaignRunner(
             pathlib.Path(tmp) / "campaign.jsonl",
-            directory=SCENARIO_DIR, jobs=1,
+            directory=SCENARIO_DIR, shards=1, jobs=1,
         )
         start = time.perf_counter()
         report = runner.run()
@@ -99,15 +102,16 @@ def _bench_overhead():
 
 
 def _bench_sharded():
-    """Sharded fabric (--shards 4) vs the single-pool runner at jobs=4."""
+    """Four shards vs one shard at jobs=4."""
     def _verdicts(store):
         return {unit["name"]: (unit["status"], unit.get("result"))
                 for unit in store["units"]}
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
-        single = CampaignRunner(
-            tmp / "single.jsonl", directory=SCENARIO_DIR, jobs=4,
+        single = ShardedCampaignRunner(
+            tmp / "single.jsonl", directory=SCENARIO_DIR,
+            shards=1, jobs=4,
         )
         start = time.perf_counter()
         single_report = single.run()
@@ -125,7 +129,7 @@ def _bench_sharded():
     return {
         "scenarios": len(single_report.store["units"]),
         "shards": 4,
-        "single_pool_s": round(single_s, 4),
+        "one_shard_s": round(single_s, 4),
         "sharded_s": round(sharded_s, 4),
         "sharded_overhead_x": round(sharded_s / single_s, 2),
         "budget_x": 1.10,
@@ -158,10 +162,10 @@ def run_campaign_bench():
          overhead["scenarios"], overhead["campaign_s"],
          "{}x suite ({}s)".format(overhead["overhead_x"],
                                   overhead["suite_s"])],
-        ["sharded (4 shards) vs single pool",
+        ["4 shards vs 1 shard",
          sharded["scenarios"], sharded["sharded_s"],
-         "{}x single pool ({}s)".format(sharded["sharded_overhead_x"],
-                                        sharded["single_pool_s"])],
+         "{}x one shard ({}s)".format(sharded["sharded_overhead_x"],
+                                      sharded["one_shard_s"])],
     ]
     return format_table(
         ["workload", "n", "seconds", "rate"], rows,

@@ -1,8 +1,10 @@
-"""The sharded campaign fabric: N fault domains, one deterministic store.
+"""The campaign fabric: N fault domains, one deterministic store.
 
-:class:`ShardedCampaignRunner` partitions a campaign's unit plan across
-N :class:`~repro.campaign.shard.Shard` threads by stable hash and
-coordinates them through three thread-safe services:
+:class:`ShardedCampaignRunner` is the one way a campaign executes.  It
+partitions a campaign's unit plan across N
+:class:`~repro.campaign.shard.Shard` threads by stable hash (one shard
+is the plain single-pool campaign) and coordinates them through three
+thread-safe services:
 
 * **feed** -- each shard pulls work incrementally; when its own backlog
   runs dry it *steals* pending units from the richest other backlog
@@ -16,10 +18,10 @@ coordinates them through three thread-safe services:
   degrades cleanly -- the merged store marks the leftovers
   ``INCOMPLETE`` and the report carries each shard's typed failure;
 * **merge** -- the final state is folded from the coordinator journal
-  plus every shard journal (in shard order) through the same
+  plus every shard journal (in shard order) through
   :func:`~repro.campaign.journal.fold_records` /
-  :func:`~repro.campaign.runner.build_store` path as the single-pool
-  runner.  Units are pure functions of their scenario files, so a unit
+  :func:`~repro.campaign.runner.build_store`, whatever the shard
+  count.  Units are pure functions of their scenario files, so a unit
   that two journals both finished (a steal race, a crash between
   finish and acknowledgement) folds to byte-equal results -- and a
   *disagreement* raises ``JournalConflict`` rather than shipping a
@@ -31,6 +33,11 @@ The coordinator journal is itself the root fault domain: fault
 profiles inject only into shard journals and pools, so there is always
 one journal whose campaign-start/steal/finish history survives to
 merge against.
+
+A journal without a ``shards`` field in its campaign-start record was
+written by the retired single-pool runner, which journaled its unit
+records in the coordinator journal itself; it is read, and resumed, as
+a one-shard campaign -- the merge folds those records in first.
 """
 
 import collections
@@ -76,55 +83,54 @@ def merged_records(journal_path, shards):
     return records
 
 
+def journal_shards(config):
+    """The shard count a campaign-start record pins.
+
+    Journals from the retired single-pool runner carry no ``shards``
+    field; they are one-shard campaigns.
+    """
+    return config.get("shards") or 1
+
+
 def campaign_status(journal_path):
     """Read-only view of any campaign journal: ``(meta, folded)``.
 
-    Detects a sharded campaign from its campaign-start record and folds
-    the shard journals in; single-pool journals behave exactly as
-    :meth:`CampaignRunner.status`.
+    Reads the shard count from the campaign-start record and folds the
+    coordinator journal together with every shard journal.
     """
     journal_path = pathlib.Path(journal_path)
     if not journal_path.exists():
         raise CampaignError("no journal at {}".format(journal_path))
     records, __ = replay(journal_path)
-    meta, folded = fold_records(records)
+    meta, __ = fold_records(records)
     if meta["config"] is None:
         raise CampaignError(
             "journal {} has no campaign-start record".format(journal_path)
         )
-    shards = meta["config"].get("shards")
-    if shards:
-        meta, folded = fold_records(merged_records(journal_path, shards))
-    return meta, folded
-
-
-class ShardedCampaignReport(CampaignReport):
-    """A campaign report plus the fabric's shard-level outcome."""
-
-    __slots__ = ("shard_states", "shard_failures", "steals")
-
-    def __init__(self, store, store_path, shard_states, shard_failures,
-                 steals, interrupted=False):
-        super().__init__(store, store_path, interrupted=interrupted)
-        #: shard index -> terminal state ("done" / "dead")
-        self.shard_states = shard_states
-        #: shard index -> str(typed failure), for quarantined shards
-        self.shard_failures = shard_failures
-        #: number of units that changed hands
-        self.steals = steals
+    shards = journal_shards(meta["config"])
+    return fold_records(merged_records(journal_path, shards))
 
 
 class ShardedCampaignRunner:
-    """Drive one campaign across N shard fault domains.
+    """Drive one campaign journal to completion across N shards.
 
-    Mirrors :class:`~repro.campaign.runner.CampaignRunner`'s contract
-    (same journal discipline, same store schema, same resume semantics)
-    with three additions: ``shards`` fault domains, ``seed`` threading
-    into every shard pool's retry jitter, and an optional
-    ``fault_profile`` (name, dict, profile instance or JSON path)
+    ``journal_path`` names the coordinator's write-ahead journal
+    (created fresh, or replayed when resuming); ``directory`` is the
+    scenario directory a *new* campaign plans its units from (a resumed
+    campaign takes the unit set from its campaign-start record
+    instead).  ``shards`` is the number of fault domains -- one shard is
+    the plain single-pool campaign; ``jobs`` is the *total* worker
+    budget, split evenly (floored at one worker per shard).  ``seed``
+    threads into every shard pool's retry jitter; an optional
+    ``fault_profile`` (name, dict, profile instance or JSON path) is
     injected into the shard journals and pools -- never the
-    coordinator's own journal.  ``jobs`` is the *total* worker budget,
-    split evenly (floored at one worker per shard).
+    coordinator's own journal.  ``watchdog_s`` / ``deadline_s`` /
+    ``max_retries`` parameterize the supervised pools; on resume the
+    journaled values win, except ``deadline_s`` which a caller may
+    tighten per invocation.  ``store_path`` defaults to the journal
+    path with a ``.results.json`` suffix; ``trace_path`` (optional)
+    records a campaign trace whose fsync histograms carry ``wall`` in
+    their names, so determinism comparisons strip them.
     """
 
     def __init__(self, journal_path, directory=None, shards=2, jobs=1,
@@ -172,13 +178,14 @@ class ShardedCampaignRunner:
     # -- entry points ----------------------------------------------------------
 
     def run(self, resume=False):
-        """Run (or resume) the sharded campaign.
+        """Run (or resume) the campaign.
 
-        Returns a :class:`ShardedCampaignReport`.  Resume rules match
-        the single-pool runner: an existing coordinator journal needs
-        ``resume=True``, its campaign-start record pins the unit plan,
-        shard count, seed and fault profile, and only units without a
-        journaled finish/skip anywhere in the fabric re-run.
+        Returns a :class:`~repro.campaign.runner.CampaignReport`.  A
+        fresh journal starts a new campaign over ``directory``.  An
+        existing coordinator journal needs ``resume=True``; its
+        campaign-start record pins the unit plan, shard count, seed and
+        fault profile, and only units without a journaled finish/skip
+        anywhere in the fabric re-run.
         """
         exists = self.journal.path.exists() \
             and self.journal.path.stat().st_size > 0
@@ -266,9 +273,11 @@ class ShardedCampaignRunner:
             s.index: "{}: {}".format(type(s.failure).__name__, s.failure)
             for s in self._shard_objs if s.failure is not None
         }
-        return ShardedCampaignReport(
-            store, self.store_path, states, failures, self._steals,
+        return CampaignReport(
+            store, self.store_path,
             interrupted=not done and self._draining.is_set(),
+            shard_states=states, shard_failures=failures,
+            steals=self._steals,
         )
 
     def _adopt_config(self, records):
@@ -286,7 +295,7 @@ class ShardedCampaignRunner:
             self.watchdog_s = config.get("watchdog_s", self.watchdog_s)
             self.max_retries = config.get("max_retries", self.max_retries)
             self.seed = config.get("seed", self.seed)
-            self.shards = config.get("shards", self.shards)
+            self.shards = journal_shards(config)
             profile = config.get("fault_profile")
             self.fault_profile = get_fault_profile(profile)
             if self.deadline_s is None:
@@ -355,7 +364,12 @@ class ShardedCampaignRunner:
         for shard in self._shard_objs:
             shard.start()
         for shard in self._shard_objs:
-            shard.join()
+            # bounded waits: a SIGTERM that lands on a worker thread only
+            # runs its Python handler (the drain) once the main thread
+            # returns to the interpreter, which an unbounded join
+            # would postpone until the campaign had finished
+            while not shard.join(timeout=0.1):
+                pass
 
     def _make_fault_hook(self, index):
         def on_fire(kind, **detail):

@@ -12,10 +12,11 @@ Work arrives incrementally: the shard's pool runs entirely off a
 ``feed`` callback wired to :meth:`ShardedCampaignRunner.feed`, so the
 shard never holds more than one pool-refill of units hostage when it
 dies.  Every unit transition is journaled to the shard journal *before*
-state advances (the same write-ahead discipline as the single-pool
-runner, through the same :func:`repro.campaign.runner.outcome_result`
-mapping), which is what makes the merged, folded state of all journals
-deterministic no matter which shard ran which unit.
+state advances (write-ahead, through the one
+:func:`repro.campaign.runner.outcome_result` mapping), which is what
+makes the merged, folded state of all journals deterministic no matter
+which shard ran which unit -- or how many shards there are: a campaign
+with one shard is the plain single-pool case.
 
 Unit assignment is by stable hash (:func:`shard_of`), so two runs of
 the same campaign partition identically and a resume re-offers each
@@ -100,8 +101,11 @@ class Shard:
         self._thread.start()
 
     def join(self, timeout=None):
+        """Wait for the shard thread; True once it has ended."""
         if self._thread is not None:
             self._thread.join(timeout)
+            return not self._thread.is_alive()
+        return True
 
     @property
     def alive(self):
@@ -158,6 +162,8 @@ class Shard:
     def _on_start(self, unit_id, attempt):
         self._append(wal.UNIT_START, unit=unit_id, attempt=attempt - 1,
                      shard=self.index)
+        self.coordinator.emit_event("unit-start", unit=unit_id,
+                                    attempt=attempt - 1, shard=self.index)
 
     def _on_retry(self, unit_id, attempt, reason):
         self._append(wal.UNIT_RETRY, unit=unit_id, attempt=attempt - 1,

@@ -402,7 +402,7 @@ def _print_campaign_report(report):
     print("{passed} passed, {failed} failed, {skipped} skipped "
           "({degraded} degraded)".format(**summary))
     print("results: {}".format(report.store_path))
-    if getattr(report, "interrupted", False):
+    if report.interrupted:
         print("interrupted: journal sealed; `repro campaign resume` "
               "continues where this stopped")
         return EXIT_INTERRUPTED
@@ -438,17 +438,17 @@ def _run_campaign_draining(runner, resume=False):
 
 
 def cmd_campaign(args):
-    from repro.campaign import CampaignRunner, ShardedCampaignRunner
-    from repro.campaign.coordinator import campaign_status
+    from repro.campaign import ShardedCampaignRunner
+    from repro.campaign.coordinator import campaign_status, journal_shards
     from repro.errors import CampaignError
 
     if args.verb == "status":
         meta, folded = campaign_status(args.journal)
         config = meta["config"]
-        shards = config.get("shards")
+        shards = journal_shards(config)
         print("campaign : {} ({} units{}{})".format(
             config["directory"], len(config["units"]),
-            ", {} shards".format(shards) if shards else "",
+            ", {} shards".format(shards) if shards > 1 else "",
             ", finished" if meta["finished"] else ""))
         for unit in config["units"]:
             entry = folded.get(unit["id"]) or {"status": "pending",
@@ -472,30 +472,17 @@ def cmd_campaign(args):
                 "no journal at {}; start one with `repro campaign run`"
                 .format(args.journal)
             )
-        meta, __ = campaign_status(args.journal)
-        if meta["config"].get("shards"):
-            runner = ShardedCampaignRunner(args.journal, jobs=args.jobs,
-                                           store_path=args.out)
-        else:
-            runner = CampaignRunner(args.journal, jobs=args.jobs,
-                                    store_path=args.out)
+        runner = ShardedCampaignRunner(args.journal, jobs=args.jobs,
+                                       store_path=args.out)
         return _run_campaign_draining(runner, resume=True)
 
-    if args.shards > 1 or args.fault_profile is not None:
-        runner = ShardedCampaignRunner(
-            args.journal, directory=args.directory, shards=args.shards,
-            jobs=args.jobs, watchdog_s=args.watchdog,
-            deadline_s=args.deadline, max_retries=args.max_retries,
-            store_path=args.out, trace_path=args.trace, seed=args.seed,
-            fault_profile=args.fault_profile,
-        )
-    else:
-        runner = CampaignRunner(
-            args.journal, directory=args.directory, jobs=args.jobs,
-            watchdog_s=args.watchdog, deadline_s=args.deadline,
-            max_retries=args.max_retries, store_path=args.out,
-            trace_path=args.trace, seed=args.seed,
-        )
+    runner = ShardedCampaignRunner(
+        args.journal, directory=args.directory, shards=args.shards,
+        jobs=args.jobs, watchdog_s=args.watchdog,
+        deadline_s=args.deadline, max_retries=args.max_retries,
+        store_path=args.out, trace_path=args.trace, seed=args.seed,
+        fault_profile=args.fault_profile,
+    )
     return _run_campaign_draining(runner, resume=args.resume)
 
 
@@ -963,7 +950,7 @@ def build_parser():
                         "journals and pools: a registry name (none, "
                         "default, disk-full, flaky-disk, liar-disk, "
                         "skewed-clock, hostile-infra) or a JSON profile "
-                        "path; implies the sharded runner")
+                        "path")
     _add_trace(v)
     v.set_defaults(func=cmd_campaign, verb="run")
 

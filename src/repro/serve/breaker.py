@@ -120,9 +120,9 @@ class BreakerBoard:
         self.overload = None
 
     def record_report(self, report):
-        """Fold one ShardedCampaignReport into the per-shard breakers."""
-        failures = getattr(report, "shard_failures", None) or {}
-        states = getattr(report, "shard_states", None) or {}
+        """Fold one CampaignReport into the per-shard breakers."""
+        failures = report.shard_failures
+        states = report.shard_states
         for index, breaker in self.shards.items():
             if index in failures:
                 breaker.record_failure()

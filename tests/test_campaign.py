@@ -20,13 +20,15 @@ from repro.attacks.supervisor import ABSTAIN, FOUND, apply_degradation
 from repro.campaign import journal as wal
 from repro.campaign import (
     CampaignJournal,
-    CampaignRunner,
+    ShardedCampaignRunner,
     SupervisedPool,
     fold_records,
     plan_units,
     replay,
 )
+from repro.campaign.coordinator import campaign_status, merged_records
 from repro.campaign.pool import FAILED, OK, SKIPPED
+from repro.campaign.shard import shard_journal_path
 from repro.cli import main
 from repro.errors import CampaignError, JournalConflict, JournalCorrupt
 from repro.scenarios import ScenarioResult, run_suite
@@ -300,7 +302,11 @@ class TestDegradation:
         assert ScenarioResult.from_dict(data).as_dict() == data
 
 
-# -- the campaign runner -------------------------------------------------------
+# -- the campaign runner (one shard: the single-pool case) ---------------------
+
+
+def _one_shard(journal, **kwargs):
+    return ShardedCampaignRunner(journal, shards=1, **kwargs)
 
 
 class TestCampaignRunner:
@@ -317,7 +323,7 @@ class TestCampaignRunner:
 
     def test_run_writes_store_and_journal(self, scenario_dir, tmp_path):
         journal = tmp_path / "c.jsonl"
-        runner = CampaignRunner(journal, directory=scenario_dir)
+        runner = _one_shard(journal, directory=scenario_dir)
         report = runner.run()
         assert report.ok
         assert report.summary == {
@@ -330,38 +336,40 @@ class TestCampaignRunner:
         ]
         assert all(u["status"] == "PASS" and u["chaos_digest"]
                    for u in store["units"])
-        meta, folded = CampaignRunner(journal).status()
+        meta, folded = _one_shard(journal).status()
         assert meta["finished"]
         assert all(folded[u]["status"] == "done" for u in folded)
 
     def test_existing_journal_requires_resume(self, scenario_dir, tmp_path):
         journal = tmp_path / "c.jsonl"
-        CampaignRunner(journal, directory=scenario_dir).run()
+        _one_shard(journal, directory=scenario_dir).run()
         with pytest.raises(CampaignError):
-            CampaignRunner(journal, directory=scenario_dir).run()
+            _one_shard(journal, directory=scenario_dir).run()
 
     def test_resume_reexecutes_nothing_when_finished(self, scenario_dir,
                                                      tmp_path):
         journal = tmp_path / "c.jsonl"
-        first = CampaignRunner(journal, directory=scenario_dir).run()
-        size = journal.stat().st_size
-        second = CampaignRunner(journal).run(resume=True)
-        assert journal.stat().st_size == size  # nothing re-journaled
+        first = _one_shard(journal, directory=scenario_dir).run()
+        shard0 = shard_journal_path(journal, 0)
+        sizes = (journal.stat().st_size, shard0.stat().st_size)
+        second = _one_shard(journal).run(resume=True)
+        # nothing re-journaled
+        assert (journal.stat().st_size, shard0.stat().st_size) == sizes
         strip = ("generated_at", "wall_elapsed_s")
         assert {k: v for k, v in first.store.items() if k not in strip} \
             == {k: v for k, v in second.store.items() if k not in strip}
 
     def test_resume_refuses_changed_scenario(self, scenario_dir, tmp_path):
         journal = tmp_path / "c.jsonl"
-        CampaignRunner(journal, directory=scenario_dir).run()
+        _one_shard(journal, directory=scenario_dir).run()
         _write_scenario(scenario_dir, "alpha", seed=99)
         with pytest.raises(CampaignError, match="digest mismatch"):
-            CampaignRunner(journal).run(resume=True)
+            _one_shard(journal).run(resume=True)
 
     def test_deadline_zero_skips_everything(self, scenario_dir, tmp_path):
         journal = tmp_path / "c.jsonl"
-        runner = CampaignRunner(journal, directory=scenario_dir,
-                                deadline_s=0.0)
+        runner = _one_shard(journal, directory=scenario_dir,
+                            deadline_s=0.0)
         report = runner.run()
         assert not report.ok
         assert report.summary["skipped"] == 3
@@ -376,14 +384,53 @@ class TestCampaignRunner:
             attack={"kind": "kill-self", "sentinel": str(sentinel)},
         )
         journal = tmp_path / "c.jsonl"
-        report = CampaignRunner(journal, directory=scenario_dir,
-                                jobs=2).run()
+        report = _one_shard(journal, directory=scenario_dir,
+                            jobs=2).run()
         assert report.ok, report.store["units"]
-        records, __ = replay(journal)
+        records = merged_records(journal, 1)
         retries = [r for r in records if r["type"] == wal.UNIT_RETRY]
         assert [r["unit"] for r in retries] == ["dies"]
         assert retries[0]["reason"] == \
             "worker process died before returning a result"
+
+    def test_legacy_single_pool_journal_resumes_as_one_shard(
+            self, scenario_dir, tmp_path):
+        # the retired single-pool runner journaled its unit records in
+        # the coordinator journal and pinned no shard count
+        clean = _one_shard(tmp_path / "clean.jsonl",
+                           directory=scenario_dir).run()
+        start, finish = replay(tmp_path / "clean.jsonl")[0]
+        units, __ = replay(shard_journal_path(tmp_path / "clean.jsonl", 0))
+        legacy = tmp_path / "legacy.jsonl"
+        with CampaignJournal(legacy) as journal:
+            journal.open()
+            for record in [start] + units[1:-1] + [finish]:
+                fields = {k: v for k, v in record.items()
+                          if k not in ("type", "v", "crc", "shard",
+                                       "fault_profile", "shards")}
+                journal.append(record["type"], **fields)
+        # cut the tail: one unit done, one started, one never started
+        lines = legacy.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 8
+        legacy.write_bytes(b"".join(lines[:-4]))
+        meta, folded = campaign_status(legacy)
+        assert "shards" not in meta["config"] and not meta["finished"]
+        assert {u: folded[u]["status"] for u in folded} == {
+            "alpha": "done", "bravo": "running",
+        }
+
+        # the constructor's shard count must not override the journal
+        resumed = ShardedCampaignRunner(legacy, shards=2).run(resume=True)
+        assert not shard_journal_path(legacy, 1).exists()
+        assert resumed.store["units"] == clean.store["units"]
+        assert resumed.store["summary"] == clean.store["summary"]
+        campaign = dict(clean.store["campaign"])
+        assert campaign.pop("shards") == 1
+        assert resumed.store["campaign"] == campaign
+        meta, folded = campaign_status(legacy)
+        assert meta["finished"]
+        assert all(folded[unit["id"]]["status"] == "done"
+                   for unit in meta["config"]["units"])
 
 
 # -- CLI + kill-resume determinism ---------------------------------------------
@@ -430,6 +477,8 @@ class TestCampaignCli:
         )
 
         killed = tmp_path / "killed.jsonl"
+        # unit records land in the (only) shard's journal
+        shard0 = shard_journal_path(killed, 0)
         process = subprocess.Popen(
             self._campaign_cmd(scenario_dir, killed), env=self._env(),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -438,9 +487,9 @@ class TestCampaignCli:
             deadline = time.monotonic() + 120.0
             while time.monotonic() < deadline:
                 if process.poll() is not None:
-                    break  # finished before we could kill it; still valid
-                if killed.exists() \
-                        and b"unit-finish" in killed.read_bytes():
+                    break
+                if shard0.exists() \
+                        and b"unit-finish" in shard0.read_bytes():
                     process.kill()
                     break
                 time.sleep(0.02)
@@ -449,6 +498,9 @@ class TestCampaignCli:
             if process.poll() is None:
                 process.kill()
                 process.wait()
+        # the kill must actually land mid-campaign, or this test proves
+        # nothing about resume
+        assert process.returncode == -signal.SIGKILL
 
         subprocess.run(
             self._campaign_cmd(scenario_dir, killed, verb="resume"),

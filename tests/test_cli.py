@@ -165,9 +165,11 @@ class TestCampaignFsckCLI:
         import json
 
         journal = self._run_small_campaign(tmp_path)
+        # the unit records live in the (only) shard's journal
+        shard = tmp_path / "c.shard-0.jsonl"
         capsys.readouterr()
         damaged_line = self._corrupt_line(
-            journal,
+            shard,
             lambda r: r.get("type") == "unit-finish"
             and r.get("unit") == "u1",
         )
@@ -175,29 +177,32 @@ class TestCampaignFsckCLI:
         assert main(["campaign", "fsck", str(journal), "--rebuild"]) == 1
         out = capsys.readouterr().out
         expected_lines = [
+            "ok           {}  (2 records, 0 done / 0 skipped / "
+            "0 incomplete)".format(journal),
             "quarantined  {}  (5 records, 1 done / 0 skipped / "
-            "1 incomplete)".format(journal),
+            "1 incomplete)".format(shard),
             "  line {}: checksum mismatch".format(damaged_line),
-            "  quarantined to {}.corrupt".format(journal),
-            "  salvage report: {}.salvage.json".format(journal),
-            "  rebuilt {} from 5 intact records".format(journal),
+            "  quarantined to {}.corrupt".format(shard),
+            "  salvage report: {}.salvage.json".format(shard),
+            "  rebuilt {} from 5 intact records".format(shard),
         ]
         assert out.splitlines() == expected_lines
 
         salvage = json.loads(
-            (tmp_path / "c.jsonl.salvage.json").read_text()
+            (tmp_path / "c.shard-0.jsonl.salvage.json").read_text()
         )
         assert salvage == {
             "schema": "repro-campaign-salvage/v1",
-            "journal": str(journal),
+            "journal": str(shard),
             "records": 5,
             "damage": [{"line": damaged_line,
                         "reason": "checksum mismatch"}],
             "status": "quarantined",
             "units": {"done": 1, "skipped": 0, "incomplete": 1},
-            "finished": True,
-            "quarantined_to": str(journal) + ".corrupt",
-            "rebuilt": str(journal),
+            # campaign-finish is the coordinator's record
+            "finished": False,
+            "quarantined_to": str(shard) + ".corrupt",
+            "rebuilt": str(shard),
         }
         # the rebuilt journal resumes cleanly, minus only the damage
         capsys.readouterr()
@@ -211,6 +216,10 @@ class TestCampaignFsckCLI:
         out = capsys.readouterr().out
         assert out.startswith("ok")
         assert "6 records" in out and "2 done" in out
+        # coordinator journal first, then the shard journal
+        coordinator, shard = out.splitlines()
+        assert "(2 records, 0 done" in coordinator
+        assert shard.startswith("ok") and "(6 records, 2 done" in shard
 
     def test_unreadable_journal_is_a_structured_error(self, tmp_path,
                                                       capsys):

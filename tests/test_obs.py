@@ -338,7 +338,7 @@ class TestTraceCLI:
 
 class TestCampaignTrace:
     def test_campaign_run_records_trace(self, tmp_path, capsys):
-        from repro.campaign import CampaignRunner
+        from repro.campaign import ShardedCampaignRunner
 
         directory = tmp_path / "scenarios"
         directory.mkdir()
@@ -349,8 +349,8 @@ class TestCampaignTrace:
             "expect": {},
         }))
         trace_path = tmp_path / "campaign-trace.jsonl"
-        runner = CampaignRunner(
-            tmp_path / "campaign.jsonl", directory=directory,
+        runner = ShardedCampaignRunner(
+            tmp_path / "campaign.jsonl", directory=directory, shards=1,
             trace_path=str(trace_path),
         )
         report = runner.run()
@@ -366,11 +366,12 @@ class TestCampaignTrace:
         assert kinds.count("unit-finish") == 1
         metrics = [r for r in records if r["type"] == "metrics"][0]
         assert metrics["counters"]["campaign.journal_appends"] >= 3
-        fsync = metrics["histograms"]["campaign.journal_fsync_wall_us"]
+        fsync = metrics["histograms"]["campaign.shard0.journal_fsync_wall_us"]
         assert fsync["count"] == metrics["counters"][
             "campaign.journal_appends"]
         # the wall-named fsync histogram is exactly what determinism
         # comparisons strip
         stripped = strip_wall_fields(records)
         smetrics = [r for r in stripped if r["type"] == "metrics"][0]
-        assert "campaign.journal_fsync_wall_us" not in smetrics["histograms"]
+        assert "campaign.shard0.journal_fsync_wall_us" \
+            not in smetrics["histograms"]

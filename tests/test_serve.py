@@ -20,6 +20,8 @@ import time
 import pytest
 
 from repro.campaign.coordinator import ShardedCampaignRunner
+from repro.campaign.runner import CampaignReport
+from repro.campaign.shard import shard_journal_path
 from repro.cli import EXIT_INTERRUPTED, main
 from repro.errors import (
     CampaignError,
@@ -608,15 +610,20 @@ class TestCampaignSignals:
             env=self._env(), stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )
+        # unit records land in the (only) shard's journal
+        shard0 = shard_journal_path(drained, 0)
+        signalled = False
         deadline = time.monotonic() + 120.0
         while time.monotonic() < deadline:
             if process.poll() is not None:
                 break
-            if drained.exists() and b"unit-start" in drained.read_bytes():
+            if shard0.exists() and b"unit-start" in shard0.read_bytes():
                 process.send_signal(signal.SIGTERM)
+                signalled = True
                 break
             time.sleep(0.02)
         out, err = process.communicate(timeout=120)
+        assert signalled, "the campaign ended before any unit started"
         if process.returncode == EXIT_INTERRUPTED:
             assert b"interrupted: journal sealed" in out
             subprocess.run(
@@ -631,12 +638,45 @@ class TestCampaignSignals:
         assert self._strip(tmp_path / "clean.results.json") \
             == self._strip(tmp_path / "drained.results.json")
 
-    def test_predrained_runner_reports_interrupted(self, tmp_path, capsys):
-        from repro.campaign import CampaignRunner
+    def test_sigterm_on_another_thread_still_drains(self, tmp_path,
+                                                    capsys):
+        from repro.cli import _run_campaign_draining
 
+        scenarios = _write_scenarios(tmp_path / "scenarios", 8, trials=4)
+        journal = tmp_path / "c.jsonl"
+        runner = ShardedCampaignRunner(journal, directory=str(scenarios),
+                                       shards=1, jobs=1)
+        shard0 = shard_journal_path(journal, 0)
+
+        def signal_this_thread():
+            deadline = time.monotonic() + 120.0
+            while time.monotonic() < deadline:
+                if shard0.exists() and b"unit-start" in shard0.read_bytes():
+                    break
+                time.sleep(0.02)
+            # the signal lands on this thread, not the main one, so
+            # its handler runs only when the main thread next returns
+            # to the interpreter
+            signal.pthread_kill(threading.get_ident(), signal.SIGTERM)
+
+        # a late signal (campaign already over) must not kill pytest
+        previous = signal.signal(signal.SIGTERM, lambda *args: None)
+        try:
+            helper = threading.Thread(target=signal_this_thread,
+                                      daemon=True)
+            helper.start()
+            code = _run_campaign_draining(runner)
+            helper.join(timeout=120)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert code == EXIT_INTERRUPTED
+        assert "interrupted: journal sealed" in capsys.readouterr().out
+
+    def test_predrained_runner_reports_interrupted(self, tmp_path, capsys):
         scenarios = _write_scenarios(tmp_path / "scenarios", 2)
-        runner = CampaignRunner(tmp_path / "c.jsonl",
-                                directory=str(scenarios), jobs=1)
+        runner = ShardedCampaignRunner(tmp_path / "c.jsonl",
+                                       directory=str(scenarios), shards=1,
+                                       jobs=1)
         runner.request_drain()
         report = runner.run()
         assert report.interrupted
@@ -645,14 +685,13 @@ class TestCampaignSignals:
         assert all(unit["status"] == "INCOMPLETE"
                    for unit in report.store["units"])
         # and a resume picks them all up
-        resumed = CampaignRunner(tmp_path / "c.jsonl", jobs=1) \
+        resumed = ShardedCampaignRunner(tmp_path / "c.jsonl", jobs=1) \
             .run(resume=True)
         assert not resumed.interrupted
         assert resumed.summary["passed"] == 2
 
     def test_interrupted_report_exit_code(self, tmp_path, capsys):
         from repro.cli import _print_campaign_report
-        from repro.campaign.runner import CampaignReport
 
         store = {"units": [], "summary": {"passed": 0, "failed": 1,
                                           "skipped": 0, "degraded": 0}}

@@ -1,7 +1,7 @@
 """The sharded campaign fabric: partition, steal, quarantine, merge.
 
-The contract under test mirrors the single-pool runner's -- kill -9
-anything, resume, get byte-identical results -- with the new failure
+The contract under test is the one-shard campaign's -- kill -9
+anything, resume, get byte-identical results -- with the failure
 surface of N fault domains: a shard dying on a dead disk must be
 quarantined and its units stolen; duplicate finishes from steal races
 must dedup (identical) or raise (conflicting); a corrupt shard journal
@@ -20,7 +20,6 @@ import pytest
 
 from repro.campaign import journal as wal
 from repro.campaign import (
-    CampaignRunner,
     ShardedCampaignRunner,
     SupervisedPool,
     fold_records,
@@ -82,7 +81,7 @@ class TestPartition:
             pathlib.Path("/x/c.shard-11.jsonl")
 
 
-# -- sharded vs single-pool determinism ----------------------------------------
+# -- sharded vs one-shard determinism ------------------------------------------
 
 
 class TestShardedDeterminism:
@@ -92,9 +91,9 @@ class TestShardedDeterminism:
             tmp_path / "sharded.jsonl", directory=scenario_dir,
             shards=3, jobs=3, seed=7,
         ).run()
-        single = CampaignRunner(
+        single = ShardedCampaignRunner(
             tmp_path / "single.jsonl", directory=scenario_dir,
-            jobs=3, seed=7,
+            shards=1, jobs=3, seed=7,
         ).run()
         assert sharded.store["units"] == single.store["units"]
         assert sharded.store["summary"] == single.store["summary"]
