@@ -9,6 +9,9 @@ missing supervision:
 * **heartbeats** -- each unit's worker touches a beat file (a daemon
   thread, one touch per ``heartbeat_s``); the parent learns which pid
   runs which unit and when it last made progress;
+* **orphan exit** -- every worker also runs a daemon thread that exits
+  the process once its parent pid changes, so a SIGKILLed parent
+  leaves no idle worker blocked on the executor's call queue;
 * **wall-clock watchdogs** -- a unit running longer than ``watchdog_s``
   is killed (SIGKILL to the recorded pid) and charged a retry;
 * **broken-pool recovery** -- when the executor breaks (a worker died,
@@ -114,6 +117,25 @@ def _beat_loop(path, stop, interval):
             os.utime(path)
         except OSError:
             return
+
+
+def _orphan_watch(parent_pid, interval):
+    while os.getppid() == parent_pid:
+        time.sleep(interval)
+    # the spawning parent died: an idle worker would block on the
+    # executor's call queue forever, so leave now
+    os._exit(1)
+
+
+def _worker_init(interval):
+    """Executor initializer: exit the worker once its parent is gone.
+
+    The parent is read here, in the worker, so the watch follows the
+    real parent under every start method (fork, spawn, forkserver).
+    """
+    threading.Thread(
+        target=_orphan_watch, args=(os.getppid(), interval), daemon=True
+    ).start()
 
 
 def _beat_name(unit_id):
@@ -384,7 +406,8 @@ class SupervisedPool:
 
     def _spawn(self):
         return concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.jobs
+            max_workers=self.jobs, initializer=_worker_init,
+            initargs=(self.heartbeat_s,),
         )
 
     @staticmethod

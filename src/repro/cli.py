@@ -751,10 +751,12 @@ def cmd_soak(args):
         write_json_atomic(args.out, report)
         print("report written to {}".format(args.out))
     fairness = report.get("fairness") or {}
-    print("soak OK: fairness ratio {} (bound {}), determinism {}".format(
-        fairness.get("ratio"), fairness.get("bound"),
-        "ok" if (report.get("determinism") or {}).get("equal")
-        else "FAILED"))
+    print("soak OK: fairness ratio {} (bound {}), typed quota refusals {}, "
+          "determinism {}".format(
+              fairness.get("ratio"), fairness.get("bound"),
+              sum(q["typed"] for q in report["quota"].values()),
+              "ok" if (report.get("determinism") or {}).get("equal")
+              else "FAILED"))
     return 0
 
 
@@ -1110,9 +1112,10 @@ def build_parser():
 
     p = subparsers.add_parser(
         "soak",
-        help="sustained-load soak: multi-tenant floods, client churn, "
-             "a mid-soak SIGTERM drain, fairness / determinism / "
-             "zero-orphan assertions")
+        help="the service smoke harness: multi-tenant floods, a "
+             "quota-capped tenant, client churn, a mid-soak SIGTERM "
+             "drain, fairness / typed-quota / determinism / zero-orphan "
+             "assertions")
     p.add_argument("--dir", default=None, metavar="DIR",
                    help="scratch directory (default: a tempdir)")
     p.add_argument("--duration", type=float, default=24.0,

@@ -136,7 +136,7 @@ class ServeBackend:
 
     def __init__(self, state_dir, shards=2, jobs=None,
                  watchdog_s=DEFAULT_WATCHDOG_S,
-                 max_retries=DEFAULT_MAX_RETRIES, seed=0, breakers=None,
+                 max_retries=DEFAULT_MAX_RETRIES, seed=0,
                  scheduler=None, prune_age_s=3600.0, prune_keep=4):
         self.state_dir = pathlib.Path(state_dir)
         self.scenario_dir = self.state_dir / "scenarios"
@@ -147,8 +147,7 @@ class ServeBackend:
         self.watchdog_s = watchdog_s
         self.max_retries = max_retries
         self.seed = seed
-        self.breakers = breakers if breakers is not None \
-            else BreakerBoard(self.shards)
+        self.breakers = BreakerBoard(self.shards)
         #: the fair-share scheduler between admission and the pool; the
         #: server wires its weight_of to the tenant quota config
         self.scheduler = scheduler if scheduler is not None \

@@ -16,11 +16,12 @@ is the service-level memory of those failures:
   admitted.  Success closes the breaker, failure re-opens it for a
   fresh cooldown.
 
-The server keeps one global breaker (wholesale backend failures) plus
-one per shard index (quarantines).  A per-shard breaker never rejects
--- the fabric's survivors still absorb that shard's units -- it marks
-admissions *degraded* so clients learn their request runs on a
-diminished fabric.
+The server keeps one such breaker for wholesale backend failures.  A
+shard needs no breaker of its own: it never sheds -- the fabric's
+survivors still absorb its units -- so the board only counts each
+shard's consecutive failures since its last clean run and marks
+admissions *degraded* once that streak reaches the threshold, so
+clients learn their request runs on a diminished fabric.
 """
 
 import threading
@@ -105,29 +106,30 @@ class CircuitBreaker:
 
 
 class BreakerBoard:
-    """The server's breaker set: one global + one per shard index."""
+    """The server's breaker set: one global breaker + shard failure streaks.
+
+    ``streaks`` maps each shard index to its consecutive failures since
+    the shard last finished ``done``; a shard is degraded while its
+    streak is at least ``failure_threshold``, however long ago it
+    tripped.
+    """
 
     def __init__(self, shards, failure_threshold=3, cooldown_s=30.0,
                  clock=None):
         self.backend = CircuitBreaker(failure_threshold, cooldown_s, clock)
-        self.shards = {
-            index: CircuitBreaker(failure_threshold, cooldown_s, clock)
-            for index in range(max(1, shards))
-        }
-        #: the server attaches its OverloadGovernor here so one board
-        #: document carries every shed signal the service can emit --
-        #: breaker trips *and* watermark pressure
-        self.overload = None
+        self._lock = threading.Lock()
+        self.streaks = {index: 0 for index in range(max(1, shards))}
 
     def record_report(self, report):
-        """Fold one CampaignReport into the per-shard breakers."""
+        """Fold one CampaignReport into the shard streaks and the backend."""
         failures = report.shard_failures
         states = report.shard_states
-        for index, breaker in self.shards.items():
-            if index in failures:
-                breaker.record_failure()
-            elif states.get(index) == "done":
-                breaker.record_success()
+        with self._lock:
+            for index in self.streaks:
+                if index in failures:
+                    self.streaks[index] += 1
+                elif states.get(index) == "done":
+                    self.streaks[index] = 0
         if failures and len(failures) == len(states):
             # every shard died: that is a backend failure, not a degrade
             self.backend.record_failure()
@@ -135,20 +137,20 @@ class BreakerBoard:
             self.backend.record_success()
 
     def degraded_shards(self):
-        """Shard indexes whose breaker is not closed (degrade signal)."""
-        return sorted(
-            index for index, breaker in self.shards.items()
-            if breaker.state != CLOSED
-        )
+        """Shard indexes whose failure streak reached the threshold."""
+        threshold = self.backend.failure_threshold
+        with self._lock:
+            return sorted(index for index, streak in self.streaks.items()
+                          if streak >= threshold)
 
     def as_dict(self):
-        board = {
-            "backend": self.backend.as_dict(),
-            "shards": {
-                str(index): breaker.as_dict()
-                for index, breaker in sorted(self.shards.items())
-            },
-        }
-        if self.overload is not None:
-            board["overload"] = self.overload.snapshot()
-        return board
+        threshold = self.backend.failure_threshold
+        with self._lock:
+            shards = {
+                str(index): {
+                    "state": OPEN if streak >= threshold else CLOSED,
+                    "failures": streak,
+                }
+                for index, streak in sorted(self.streaks.items())
+            }
+        return {"backend": self.backend.as_dict(), "shards": shards}

@@ -11,9 +11,9 @@ order:
    ``reason="draining"``);
 2. the **global circuit breaker** sheds wholesale
    (``reason="circuit-open"``, with ``retry_after_s`` from the
-   cooldown); per-shard breakers never shed -- they mark the admission
-   *degraded*, because the fabric's survivors still absorb a
-   quarantined shard's units;
+   cooldown); a shard whose failure streak tripped never sheds -- it
+   marks the admission *degraded*, because the fabric's survivors
+   still absorb a quarantined shard's units;
 3. the **overload governor** (:mod:`repro.serve.overload`) reads its
    watermarks: ``shedding`` refuses everything
    (``reason="shedding"``), ``degraded`` refuses sub-floor-priority
@@ -224,9 +224,6 @@ class ServeServer:
         self.housekeep_s = housekeep_s
         self.governor = governor if governor is not None \
             else overload.default_governor(self)
-        # surface overload state through the breaker board (health,
-        # forensics and the smoke harnesses all read breakers.as_dict)
-        self.breakers.overload = self.governor
         # the scheduler's fairness knobs come from the quota config:
         # a tenant's weight rides its TenantQuota
         if self.backend.scheduler.weight_of is None:
@@ -573,6 +570,7 @@ class ServeServer:
                 "max": self.max_queue,
                 "executor": self.backend.queue_depth(),
             },
+            "overload": self.governor.snapshot(),
             "breakers": self.breakers.as_dict(),
             "tenants": self.ledger.snapshot(),
         }

@@ -1,8 +1,9 @@
 """Sustained-load soak harness for ``repro serve`` (``repro soak``).
 
-The unit tests prove single behaviors; the serve smoke proves one
-drain cycle.  The soak proves the *service* properties that only show
-up under sustained multi-tenant load:
+The unit tests prove single behaviors against in-process servers.
+The soak is the one service-level smoke harness: it proves, against a
+real server subprocess, the *service* properties that only show up
+under sustained multi-tenant load:
 
 * **fairness** -- flood tenants with different configured weights
   receive executor throughput proportional to those weights, and a
@@ -11,6 +12,9 @@ up under sustained multi-tenant load:
 * **overload discipline** -- every refusal during the soak is a typed
   ``rejected`` with a reason (and ``retry_after_s`` where promised);
   no client ever sees a timeout or a crash;
+* **quota enforcement** -- a capped tenant pipelines more submissions
+  than its ``max_requests`` allows and must be refused with a typed
+  ``QuotaExceeded`` naming the exhausted quota, never an untyped one;
 * **drain correctness** -- a SIGTERM lands mid-soak, with floods in
   full swing and a campaign plan streaming: the server must exit 0
   with zero orphan processes, and a restarted server must *resume*
@@ -31,9 +35,9 @@ are plain :class:`~repro.serve.ServeClient` instances with churn
 (connections are torn down and reopened throughout), and the fault
 profile rides a plan submission through the public protocol.
 
-:func:`run_soak` is the importable driver -- ``repro soak`` and
-``tools/soak.py`` are thin wrappers over it -- and returns a JSON-able
-report with every measurement the assertions were made from.
+:func:`run_soak` is the importable driver -- ``repro soak`` is a thin
+wrapper over it -- and returns a JSON-able report with every
+measurement the assertions were made from.
 """
 
 import hashlib
@@ -56,8 +60,13 @@ FLOOD = "flood"
 TRICKLE = "trickle"
 SLOW_READER = "slow-reader"
 
+#: seconds a soak client waits on one socket read or write
+IO_TIMEOUT_S = 120.0
+
 #: default tenant mix: two floods at 2:1 weights, one trickle, one
-#: slow reader.  ``streams`` is concurrent connections per tenant.
+#: slow reader, and one flood capped below its pipelined window (its
+#: ``max_requests`` sets its quota, and keeps it out of the fairness
+#: ratio).  ``streams`` is concurrent connections per tenant.
 DEFAULT_TENANTS = (
     {"name": "flood-a", "mode": FLOOD, "weight": 2.0, "streams": 2,
      "window": 6},
@@ -67,6 +76,8 @@ DEFAULT_TENANTS = (
      "pause_s": 0.5},
     {"name": "sloth", "mode": SLOW_READER, "weight": 1.0, "streams": 1,
      "pause_s": 1.0},
+    {"name": "capped", "mode": FLOOD, "weight": 1.0, "streams": 1,
+     "window": 6, "max_requests": 2},
 )
 
 
@@ -143,7 +154,7 @@ class _TenantLoad(threading.Thread):
 
     def _client(self):
         return ServeClient(
-            self.soak.socket, timeout_s=self.soak.io_timeout_s,
+            self.soak.socket, timeout_s=IO_TIMEOUT_S,
             retries=2, seed=self.soak.seed,
         ).connect(self.tenant)
 
@@ -177,7 +188,10 @@ class _TenantLoad(threading.Thread):
         return rid
 
     def _count_rejection(self, reply):
-        reason = reply.get("reason") or reply.get("quota") or "unknown"
+        if reply.get("error") == "QuotaExceeded" and reply.get("quota"):
+            reason = "quota"
+        else:
+            reason = reply.get("reason") or "unknown"
         self.rejected[reason] = self.rejected.get(reason, 0) + 1
         if reason == "unknown" and not self.soak.draining.is_set():
             self.errors.append("untyped rejection: {!r}".format(reply))
@@ -301,24 +315,20 @@ class SoakHarness:
     """
 
     def __init__(self, root, duration_s=30.0, shards=4, jobs=4, seed=9,
-                 tenants=DEFAULT_TENANTS, spin=2000, plan_units=48,
-                 campaign_units=2000, fault_profile="default",
-                 fairness_ratio_max=3.0, trickle_p99_ms=5000.0,
-                 io_timeout_s=120.0, python=None):
+                 spin=2000, plan_units=48, campaign_units=2000,
+                 fault_profile="default", fairness_ratio_max=3.0,
+                 trickle_p99_ms=5000.0):
         self.root = pathlib.Path(root)
         self.duration_s = duration_s
         self.shards = shards
         self.jobs = jobs
         self.seed = seed
-        self.tenants = [dict(t) for t in tenants]
         self.spin = spin
         self.plan_units = plan_units
         self.campaign_units = campaign_units
         self.fault_profile = fault_profile
         self.fairness_ratio_max = fairness_ratio_max
         self.trickle_p99_ms = trickle_p99_ms
-        self.io_timeout_s = io_timeout_s
-        self.python = python or sys.executable
         self.socket = str(self.root / "serve.sock")
         self.state = self.root / "state"
         self.stop_load = threading.Event()
@@ -337,9 +347,10 @@ class SoakHarness:
         spec = {"plans": {"max_requests": 4,
                           "max_units": max(4096, 2 * self.plan_units),
                           "weight": 1.0}}
-        for tenant in self.tenants:
+        for tenant in DEFAULT_TENANTS:
             spec[tenant["name"]] = {
-                "max_requests": 8 * int(tenant.get("streams", 1)),
+                "max_requests": tenant.get(
+                    "max_requests", 8 * int(tenant.get("streams", 1))),
                 "max_units": 4096,
                 "weight": tenant.get("weight", 1.0),
             }
@@ -355,7 +366,7 @@ class SoakHarness:
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
         proc = subprocess.Popen(
-            [self.python, "-m", "repro", "serve",
+            [sys.executable, "-m", "repro", "serve",
              "--socket", self.socket, "--state", str(self.state),
              "--shards", str(self.shards), "--jobs", str(self.jobs),
              "--seed", str(self.seed), "--max-queue", "1024",
@@ -401,7 +412,7 @@ class SoakHarness:
 
     def _spawn_load(self):
         threads = []
-        for tenant in self.tenants:
+        for tenant in DEFAULT_TENANTS:
             for stream in range(int(tenant.get("streams", 1))):
                 threads.append(_TenantLoad(
                     self, tenant["name"], tenant.get("mode", FLOOD),
@@ -417,7 +428,7 @@ class SoakHarness:
     def _join_load(self, threads):
         self.stop_load.set()
         for thread in threads:
-            thread.join(timeout=self.io_timeout_s + 30)
+            thread.join(timeout=IO_TIMEOUT_S + 30)
         self.stop_load.clear()
         return self._fold_load(threads)
 
@@ -438,7 +449,7 @@ class SoakHarness:
         return folded
 
     def _status(self):
-        client = ServeClient(self.socket, timeout_s=self.io_timeout_s)
+        client = ServeClient(self.socket, timeout_s=IO_TIMEOUT_S)
         client.connect()
         try:
             return client.status()
@@ -464,7 +475,7 @@ class SoakHarness:
                 "plan_units": self.plan_units,
                 "campaign_units": self.campaign_units,
                 "fault_profile": self.fault_profile,
-                "tenants": self.tenants,
+                "tenants": DEFAULT_TENANTS,
             },
         }
         half = max(2.0, self.duration_s / 2.0)
@@ -474,7 +485,7 @@ class SoakHarness:
         proc = self._start_server("ready-a")
         threads = self._spawn_load()
         planner = ServeClient(self.socket,
-                              timeout_s=self.io_timeout_s).connect("plans")
+                              timeout_s=IO_TIMEOUT_S).connect("plans")
         reply = planner.submit(
             "det-plan",
             plan={"directory": str(plan_dir), "shards": self.shards,
@@ -516,8 +527,7 @@ class SoakHarness:
         self.phase = "b"
         proc = self._start_server("ready-b")
         threads = self._spawn_load()
-        resumer = ServeClient(self.socket,
-                              timeout_s=max(self.io_timeout_s, 300.0))
+        resumer = ServeClient(self.socket, timeout_s=300.0)
         resumer.connect("plans")
         verdict = resumer.submit(
             "det-plan",
@@ -552,7 +562,7 @@ class SoakHarness:
             "overload": status_b.get("overload"),
         }
         self.draining.set()
-        drainer = ServeClient(self.socket, timeout_s=self.io_timeout_s)
+        drainer = ServeClient(self.socket, timeout_s=IO_TIMEOUT_S)
         drainer.connect()
         drainer.drain(wait=False)
         drainer.close()
@@ -563,6 +573,7 @@ class SoakHarness:
         # ---- verification ------------------------------------------------
         self._verify_load(report)
         self._verify_fairness(report, status_b)
+        self._verify_quota(report)
         self._verify_trickle(report, status_b)
         self._verify_slow_reader(report)
         self._verify_determinism(report, plan_dir, store_path)
@@ -597,7 +608,8 @@ class SoakHarness:
     def _flood_weights(self):
         return {
             t["name"]: float(t.get("weight", 1.0))
-            for t in self.tenants if t.get("mode", FLOOD) == FLOOD
+            for t in DEFAULT_TENANTS
+            if t.get("mode", FLOOD) == FLOOD and "max_requests" not in t
         }
 
     def _verify_fairness(self, report, status):
@@ -641,8 +653,34 @@ class SoakHarness:
             ", ".join("{}={}".format(k, v)
                       for k, v in sorted(counts.items()))))
 
+    def _verify_quota(self, report):
+        """Capped tenants must meet typed quota refusals, never untyped."""
+        quota = report["quota"] = {}
+        for tenant in DEFAULT_TENANTS:
+            if "max_requests" not in tenant:
+                continue
+            name = tenant["name"]
+            rejected = [report[p].get(name, {}).get("rejected", {})
+                        for p in ("phase_a", "phase_b")]
+            entry = quota[name] = {
+                "max_requests": tenant["max_requests"],
+                "window": tenant["window"],
+                "typed": sum(r.get("quota", 0) for r in rejected),
+                "untyped": sum(r.get("unknown", 0) for r in rejected),
+            }
+            if entry["untyped"]:
+                raise SoakError(
+                    "capped tenant {} got {} untyped refusal(s)".format(
+                        name, entry["untyped"]), report)
+            if not entry["typed"]:
+                raise SoakError(
+                    "capped tenant {} was never refused by its quota of "
+                    "{} requests".format(name, entry["max_requests"]),
+                    report)
+        self.log("quota: " + json.dumps(quota, sort_keys=True))
+
     def _verify_trickle(self, report, status):
-        tricklers = [t["name"] for t in self.tenants
+        tricklers = [t["name"] for t in DEFAULT_TENANTS
                      if t.get("mode") == TRICKLE]
         if not tricklers:
             return
@@ -669,7 +707,7 @@ class SoakHarness:
         self.log("trickle: " + json.dumps(trickle, sort_keys=True))
 
     def _verify_slow_reader(self, report):
-        sloths = [t["name"] for t in self.tenants
+        sloths = [t["name"] for t in DEFAULT_TENANTS
                   if t.get("mode") == SLOW_READER]
         if not sloths:
             return

@@ -60,6 +60,33 @@ def _flaky_worker(payload):
     raise ValueError(kind)
 
 
+#: a parent holding a jobs=2 pool: one unit sleeps, one returns at once
+_ORPHAN_CHILD = r"""
+import os, sys, time
+from repro.campaign.pool import SupervisedPool
+
+def work(payload):
+    out = payload["dir"]
+    open(os.path.join(out, "{}.pid".format(os.getpid())), "w").close()
+    if payload["sleep"]:
+        time.sleep(600.0)
+    open(os.path.join(out, "idle.done"), "w").close()
+
+SupervisedPool(jobs=2).run(
+    [("busy", {"dir": sys.argv[1], "sleep": True}),
+     ("idle", {"dir": sys.argv[1], "sleep": False})], work)
+"""
+
+
+def _pid_alive(pid):
+    """True while ``pid`` runs; an unreaped zombie counts as gone."""
+    try:
+        with open("/proc/{}/stat".format(pid)) as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 # -- scenario fixtures ---------------------------------------------------------
 
 
@@ -247,6 +274,39 @@ class TestSupervisedPool:
         )
         assert outcomes["skipped"].status == SKIPPED
         assert outcomes["skipped"].detail == "deadline"
+
+    def test_workers_exit_when_parent_is_sigkilled(self, tmp_path):
+        # one worker sleeps inside a unit, the other finished its unit
+        # and idles on the call queue; neither may outlive the parent
+        child = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_CHILD, str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=SRC_DIR),
+        )
+        pids = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(pids) < 2 or not (tmp_path / "idle.done").exists():
+                assert child.poll() is None, "pool child exited early"
+                assert time.monotonic() < deadline, "workers never started"
+                time.sleep(0.05)
+                pids = [int(p.stem) for p in tmp_path.glob("*.pid")]
+            child.kill()
+            child.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while any(_pid_alive(pid) for pid in pids) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.05)
+            survivors = [pid for pid in pids if _pid_alive(pid)]
+            assert not survivors, "workers outlived their parent"
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 # -- run_suite resilience (timeout + lost workers) -----------------------------

@@ -11,6 +11,7 @@ healthy -> degraded -> shedding -> healthy.
 
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +28,14 @@ from repro.serve.overload import (
 from repro.serve.quota import QuotaLedger, TenantQuota
 from repro.serve.scheduler import FAIR, FIFO, FairShareScheduler
 from repro.serve.server import ServeServer
+from repro.serve.soak import (
+    FLOOD,
+    TRICKLE,
+    SoakError,
+    SoakHarness,
+    _TenantLoad,
+    store_digest,
+)
 
 
 class FakeClock:
@@ -391,12 +400,17 @@ class TestOverloadLadderLive:
         try:
             client = ServeClient(server.address).connect()
             server.governor.evaluate()
-            assert client.health()["status"] == "shedding"
+            health = client.health()
+            assert health["status"] == "shedding"
             status = client.status()
             assert status["overload"]["state"] == "shedding"
             assert status["overload"]["watermarks"]["load"]["value"] \
                 == pytest.approx(0.99)
-            assert status["breakers"]["overload"]["state"] == "shedding"
+            # one governor snapshot per document: top-level, not under
+            # the breaker board
+            assert health["overload"]["state"] == "shedding"
+            assert "overload" not in status["breakers"]
+            assert "overload" not in health["breakers"]
             assert "queue" in status and "scheduler" in status
             client.close()
         finally:
@@ -470,3 +484,120 @@ class TestLivePlanPruneGuard:
         backend.housekeep()
         # young debris survives a 1-hour threshold
         assert fresh.exists()
+
+
+# -- soak verifiers (fabricated reports, no server) ---------------------------
+
+
+def _stream(tenant, mode=FLOOD, submitted=0, done=0, rejected=None,
+            errors=()):
+    """Stand-in for one finished _TenantLoad thread."""
+    return SimpleNamespace(tenant=tenant, mode=mode, submitted=submitted,
+                           done=done, rejected=dict(rejected or {}),
+                           errors=list(errors))
+
+
+def _entry(done=0, rejected=None):
+    return {"mode": FLOOD, "submitted": done, "done": done,
+            "rejected": dict(rejected or {}), "errors": []}
+
+
+def _report(flood_a=200, flood_b=100, capped_rejected=None):
+    """Two folded load phases; each phase carries half the verdicts."""
+    phase = {
+        "flood-a": _entry(flood_a // 2),
+        "flood-b": _entry(flood_b // 2),
+        "capped": _entry(0, capped_rejected),
+    }
+    return {"phase_a": phase, "phase_b": phase}
+
+
+class TestSoakVerifiers:
+    def test_fold_load_sums_streams_per_tenant(self):
+        folded = SoakHarness._fold_load([
+            _stream("flood-a", submitted=10, done=8,
+                    rejected={"shedding": 1}),
+            _stream("flood-a", submitted=5, done=5,
+                    rejected={"shedding": 2, "draining": 1},
+                    errors=["boom"]),
+            _stream("trickle", mode=TRICKLE, submitted=3, done=3),
+        ])
+        assert folded == {
+            "flood-a": {"mode": FLOOD, "submitted": 15, "done": 13,
+                        "rejected": {"shedding": 3, "draining": 1},
+                        "errors": ["boom"]},
+            "trickle": {"mode": TRICKLE, "submitted": 3, "done": 3,
+                        "rejected": {}, "errors": []},
+        }
+
+    def test_fairness_ratio_excludes_the_capped_tenant(self, tmp_path):
+        harness = SoakHarness(tmp_path)
+        report = _report(flood_a=200, flood_b=100)
+        # the capped tenant completed nothing, yet is not "starved"
+        harness._verify_fairness(report, {})
+        assert report["fairness"]["weights"] == {"flood-a": 2.0,
+                                                 "flood-b": 1.0}
+        assert report["fairness"]["ratio"] == 1.0
+
+    def test_starved_flood_tenant_raises(self, tmp_path):
+        with pytest.raises(SoakError, match="starved outright"):
+            SoakHarness(tmp_path)._verify_fairness(
+                _report(flood_a=200, flood_b=0), {})
+
+    def test_fairness_ratio_over_the_bound_raises(self, tmp_path):
+        report = _report(flood_a=2000, flood_b=100)
+        with pytest.raises(SoakError, match="ratio 10.00 exceeds 3.00"):
+            SoakHarness(tmp_path)._verify_fairness(report, {})
+        assert report["fairness"]["ratio"] == 10.0
+
+    def test_typed_quota_refusals_pass(self, tmp_path):
+        report = _report(capped_rejected={"quota": 3, "draining": 1})
+        SoakHarness(tmp_path)._verify_quota(report)
+        assert report["quota"] == {"capped": {
+            "max_requests": 2, "window": 6, "typed": 6, "untyped": 0}}
+
+    def test_zero_typed_quota_refusals_raise(self, tmp_path):
+        report = _report(capped_rejected={"draining": 2})
+        with pytest.raises(SoakError, match="never refused by its quota"):
+            SoakHarness(tmp_path)._verify_quota(report)
+        assert report["quota"]["capped"]["typed"] == 0
+
+    def test_one_untyped_refusal_raises(self, tmp_path):
+        report = _report()
+        report["phase_a"] = dict(report["phase_a"])
+        report["phase_a"]["capped"] = _entry(0, {"quota": 4})
+        report["phase_b"] = dict(report["phase_b"])
+        report["phase_b"]["capped"] = _entry(0, {"quota": 4, "unknown": 1})
+        with pytest.raises(SoakError, match="1 untyped refusal"):
+            SoakHarness(tmp_path)._verify_quota(report)
+
+    def test_rejections_count_as_quota_only_when_typed(self, tmp_path):
+        load = _TenantLoad(SoakHarness(tmp_path), "capped", FLOOD, 0)
+        typed = {"type": "rejected", "error": "QuotaExceeded",
+                 "quota": "requests-in-flight"}
+        assert load._count_rejection(typed) == "quota"
+        assert load._count_rejection(
+            {"type": "rejected", "error": "QuotaExceeded"}) == "unknown"
+        assert load._count_rejection(
+            {"type": "rejected", "error": "Overloaded",
+             "reason": "shedding"}) == "shedding"
+        assert load.rejected == {"quota": 1, "unknown": 1, "shedding": 1}
+        assert len(load.errors) == 1  # the untyped one, outside a drain
+
+    def test_store_digest_ignores_only_the_wall_clock_stamps(self):
+        store = {"generated_at": "2020-01-01T00:00:00Z",
+                 "wall_elapsed_s": 1.5,
+                 "campaign": {"seed": 9, "shards": 4},
+                 "summary": {"done": 2, "failed": 0},
+                 "units": {"u0": {"passed": True}}}
+        digest = store_digest(store)
+        restamped = dict(store, generated_at="2030-06-06T12:00:00Z",
+                         wall_elapsed_s=99.0)
+        assert store_digest(restamped) == digest
+        unstamped = {k: v for k, v in store.items()
+                     if k not in ("generated_at", "wall_elapsed_s")}
+        assert store_digest(unstamped) == digest
+        for key in ("campaign", "summary", "units"):
+            assert store_digest(dict(store, **{key: {}})) != digest
+        assert store_digest(dict(store, extra=None)) != digest
+        assert "generated_at" in store  # the caller's store is untouched

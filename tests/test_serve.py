@@ -226,15 +226,48 @@ class TestCircuitBreaker:
             shard_failures = {1: "CampaignError: disk died"}
 
         board.record_report(Report())
+        assert board.streaks == {0: 0, 1: 1}
         assert board.degraded_shards() == [1]
         assert board.backend.state == CLOSED
+        assert board.as_dict()["shards"] == {
+            "0": {"state": CLOSED, "failures": 0},
+            "1": {"state": OPEN, "failures": 1},
+        }
 
         class Wipeout:
             shard_states = {0: "dead", 1: "dead"}
             shard_failures = {0: "x", 1: "y"}
 
         board.record_report(Wipeout())
+        assert board.streaks == {0: 1, 1: 2}
         assert board.backend.state == OPEN
+
+    def test_tripped_shard_stays_degraded_until_done(self):
+        clock = [0.0]
+        board = BreakerBoard(2, failure_threshold=3, cooldown_s=5.0,
+                             clock=lambda: clock[0])
+
+        class Report:
+            shard_states = {0: "done", 1: "dead"}
+            shard_failures = {1: "CampaignError: disk died"}
+
+        class Healed:
+            shard_states = {0: "done", 1: "done"}
+            shard_failures = {}
+
+        for __ in range(2):
+            board.record_report(Report())
+        assert board.degraded_shards() == []  # below the threshold
+        board.record_report(Report())
+        assert board.degraded_shards() == [1]
+        # no cooldown for a shard: the streak stands until a clean run
+        for elapsed in (4.0, 6.0, 60.0, 3600.0):
+            clock[0] = elapsed
+            assert board.degraded_shards() == [1]
+            assert board.as_dict()["shards"]["1"]["state"] == OPEN
+        board.record_report(Healed())
+        assert board.degraded_shards() == []
+        assert board.streaks == {0: 0, 1: 0}
 
 
 # -- artifact rotation ---------------------------------------------------------
