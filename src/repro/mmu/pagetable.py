@@ -176,7 +176,10 @@ class PageTable:
             node = node.ensure_child(indices[level])
         index = indices[terminal_level]
         existing = node.get(index)
-        if existing is not None and existing.flags & PageFlags.PRESENT:
+        # a directory entry whose child table is empty (left behind by
+        # ``unmap``) maps nothing, so a huge page may replace it
+        if existing is not None and existing.flags & PageFlags.PRESENT \
+                and (existing.child is None or existing.child.entries):
             raise MappingError("va {:#x} already mapped".format(va))
         if page_size != PAGE_SIZE:
             flags |= PageFlags.HUGE

@@ -90,6 +90,24 @@ class TestUnmapProtect:
         table.unmap(0x1000)
         assert table.lookup(0x1000).terminal_level == 3
 
+    def test_huge_map_replaces_emptied_page_table(self):
+        # a 4 KiB unmap leaves its PDE pointing at an empty PT; a 2 MiB
+        # map over that PDE (a re-randomized kernel image) must succeed
+        table = PageTable()
+        table.map(PAGE_SIZE_2M + PAGE_SIZE, 0x1, KERNEL)
+        table.unmap(PAGE_SIZE_2M + PAGE_SIZE)
+        table.map(PAGE_SIZE_2M, 0x200, KERNEL, PAGE_SIZE_2M)
+        lookup = table.lookup(PAGE_SIZE_2M + PAGE_SIZE)
+        assert lookup.translation.level_name == "PD"
+        assert lookup.translation.pfn == 0x200
+
+    def test_huge_map_over_live_page_table_rejected(self):
+        table = PageTable()
+        table.map(PAGE_SIZE_2M + PAGE_SIZE, 0x1, KERNEL)
+        with pytest.raises(MappingError):
+            table.map(PAGE_SIZE_2M, 0x200, KERNEL, PAGE_SIZE_2M)
+        assert table.lookup(PAGE_SIZE_2M + PAGE_SIZE).translation.pfn == 0x1
+
     def test_lookup_terminal_level_without_structures(self):
         assert PageTable().lookup(0x1000).terminal_level == 0
 
