@@ -15,6 +15,11 @@ Two variants, matching the paper's Intel and AMD procedures:
   base (the same assumption as knowing function offsets) and scores each
   candidate base by how many of the five expected addresses show the
   deeper-walk signature.
+
+Each break runs candidates -> scan -> decode: a candidate address list,
+one :func:`scan` sweep, and a decode of the *classified* result into
+``(base, slot)``.  The supervisor reuses the candidates and the decode
+around its own chunked scan and repair.
 """
 
 from repro.attacks.calibrate import calibrate_store_threshold, robust_stats
@@ -54,8 +59,8 @@ class KaslrBreakResult:
         )
 
 
-def break_kaslr(machine, rounds=None, calibration=None, engine=None):
-    """Dispatch to the appropriate KASLR break for this machine.
+def kaslr_variant(machine):
+    """Which KASLR break fits ``machine``: "kpti", "intel" or "amd".
 
     KPTI status is world-readable on real systems
     (``/sys/devices/system/cpu/vulnerabilities``), so choosing the
@@ -63,20 +68,84 @@ def break_kaslr(machine, rounds=None, calibration=None, engine=None):
     threat model doesn't already.
     """
     if getattr(machine.kernel, "kpti", False):
+        return "kpti"
+    if machine.cpu.fills_tlb_for_supervisor_user_probe:
+        return "intel"
+    return "amd"
+
+
+def break_kaslr(machine, rounds=None, calibration=None, engine=None):
+    """Dispatch to the appropriate KASLR break for this machine."""
+    variant = kaslr_variant(machine)
+    if variant == "kpti":
         from repro.attacks.kpti_break import break_kaslr_kpti
 
         return break_kaslr_kpti(machine, rounds=rounds,
                                 calibration=calibration, engine=engine)
-    if machine.cpu.fills_tlb_for_supervisor_user_probe:
+    if variant == "intel":
         return break_kaslr_intel(machine, rounds, calibration, engine=engine)
     return break_kaslr_amd(machine, rounds, engine=engine)
 
 
-def break_kaslr_intel(machine, rounds=None, calibration=None, engine=None):
-    """Double-probe all 512 slots and locate the first mapped run.
+# -- candidates -> scan -> decode ---------------------------------------------
 
-    ``engine`` selects the sweep executor for the 512-slot sweep and the
-    calibration (:meth:`repro.cpu.core.Core.probe_sweep`).
+
+def slot_candidates():
+    """The base address of each of the 512 2 MiB KASLR slots."""
+    return [
+        layout.kernel_base_of_slot(slot)
+        for slot in range(layout.KERNEL_TEXT_SLOTS)
+    ]
+
+
+def amd_candidates(page_offsets=layout.KERNEL_4K_PAGE_OFFSETS):
+    """Candidate base x 4 KiB-page-offset grid, one row per usable slot."""
+    usable = layout.KERNEL_TEXT_SLOTS - layout.KERNEL_IMAGE_2M_PAGES
+    return [
+        layout.kernel_base_of_slot(slot) + offset
+        for slot in range(usable)
+        for offset in page_offsets
+    ]
+
+
+def scan(core, vas, rounds, engine=None):
+    """Time one double-probe load per candidate (mean over ``rounds``)."""
+    return list(core.probe_sweep(vas, rounds=rounds, op="load",
+                                 engine=engine))
+
+
+def decode_slots(mapped, trampoline_offset=None):
+    """``(base, slot)`` from the sorted list of mapped slot indices.
+
+    The first mapped slot is the kernel base -- or, on a KPTI kernel, the
+    trampoline, which sits ``trampoline_offset`` bytes above the base.
+    """
+    if not mapped:
+        return None, None
+    base = layout.kernel_base_of_slot(mapped[0])
+    if trampoline_offset is not None:
+        base -= trampoline_offset
+    return base, layout.kernel_slot_of(base)
+
+
+def decode_votes(votes, min_votes):
+    """``(base, slot)`` of the best-scoring candidate base, if it scores
+    at least ``min_votes``."""
+    best_slot = max(range(len(votes)), key=lambda s: votes[s])
+    if votes[best_slot] < min_votes:
+        return None, None
+    return layout.kernel_base_of_slot(best_slot), best_slot
+
+
+# -- the plain drivers --------------------------------------------------------
+
+
+def break_slots(machine, rounds, calibration, engine, trampoline_offset,
+                method):
+    """Double-probe all 512 slots and decode the first mapped one.
+
+    The scan body shared by the Intel P2 break (``trampoline_offset``
+    None) and the KPTI trampoline break.
     """
     core = machine.core
     if rounds is None:
@@ -88,12 +157,7 @@ def break_kaslr_intel(machine, rounds=None, calibration=None, engine=None):
         calibration = calibrate_store_threshold(machine, engine=engine)
 
     probe_start = core.clock.cycles
-    vas = [
-        layout.kernel_base_of_slot(slot)
-        for slot in range(layout.KERNEL_TEXT_SLOTS)
-    ]
-    timings = list(core.probe_sweep(vas, rounds=rounds, op="load",
-                                    engine=engine))
+    timings = scan(core, slot_candidates(), rounds, engine)
     probing_ms = core.clock.cycles_to_ms(
         core.clock.elapsed_since(probe_start)
     )
@@ -102,15 +166,22 @@ def break_kaslr_intel(machine, rounds=None, calibration=None, engine=None):
         slot for slot, t in enumerate(timings)
         if calibration.classify_mapped(t)
     ]
-    base, slot = None, None
-    if mapped:
-        slot = mapped[0]
-        base = layout.kernel_base_of_slot(slot)
+    base, slot = decode_slots(mapped, trampoline_offset)
     total_ms = core.clock.cycles_to_ms(core.clock.elapsed_since(total_start))
     return KaslrBreakResult(
         base, slot, timings, calibration.threshold, probing_ms, total_ms,
-        mapped, method="intel-p2",
+        mapped, method=method,
     )
+
+
+def break_kaslr_intel(machine, rounds=None, calibration=None, engine=None):
+    """Double-probe all 512 slots and locate the first mapped run.
+
+    ``engine`` selects the sweep executor for the 512-slot sweep and the
+    calibration (:meth:`repro.cpu.core.Core.probe_sweep`).
+    """
+    return break_slots(machine, rounds, calibration, engine, None,
+                       method="intel-p2")
 
 
 def break_kaslr_amd(machine, rounds=None,
@@ -130,18 +201,7 @@ def break_kaslr_amd(machine, rounds=None,
     core.run_setup()
 
     probe_start = core.clock.cycles
-    usable = layout.KERNEL_TEXT_SLOTS - layout.KERNEL_IMAGE_2M_PAGES
-    vas = [
-        layout.kernel_base_of_slot(slot) + offset
-        for slot in range(usable)
-        for offset in page_offsets
-    ]
-    flat = core.probe_sweep(vas, rounds=rounds, op="load", engine=engine)
-    width = len(page_offsets)
-    per_candidate = [
-        list(flat[i * width : (i + 1) * width]) for i in range(usable)
-    ]
-    all_means = list(flat)
+    timings = scan(core, amd_candidates(page_offsets), rounds, engine)
     probing_ms = core.clock.cycles_to_ms(
         core.clock.elapsed_since(probe_start)
     )
@@ -149,18 +209,14 @@ def break_kaslr_amd(machine, rounds=None,
     # Self-calibration: almost every probe lands on a depth-3 termination
     # (2 MiB mapping or a non-present PDE), so the global median is the
     # shallow-walk mode; deep (PT-level) walks sit one level step above it.
-    median, __, __ = robust_stats(all_means)
+    median, __, __ = robust_stats(timings)
     threshold = median + machine.cpu.level_step_cycles / 2.0
-
+    width = len(page_offsets)
     votes = [
-        sum(1 for t in means if t > threshold) for means in per_candidate
+        sum(1 for t in timings[i : i + width] if t > threshold)
+        for i in range(0, len(timings), width)
     ]
-    best_slot = max(range(len(votes)), key=lambda s: votes[s])
-    base, slot = None, None
-    if votes[best_slot] >= min_votes:
-        slot = best_slot
-        base = layout.kernel_base_of_slot(slot)
-
+    base, slot = decode_votes(votes, min_votes)
     total_ms = core.clock.cycles_to_ms(core.clock.elapsed_since(total_start))
     return KaslrBreakResult(
         base, slot, votes, threshold, probing_ms, total_ms,

@@ -94,6 +94,48 @@ def _runs_from_bitmap(mapped_flags, start_va):
     return runs
 
 
+def module_candidates(max_slots=layout.MODULE_SLOTS):
+    """The first ``max_slots`` 4 KiB probe slots of the module window."""
+    return [
+        layout.MODULE_START + slot * PAGE_SIZE for slot in range(max_slots)
+    ]
+
+
+def scan(core, vas, rounds, engine=None):
+    """Time one double-probe load per slot, min-filtered: a single spike
+    must not split a module in two."""
+    return core.probe_sweep(vas, rounds=rounds, op="load", reduce="min",
+                            engine=engine)
+
+
+def decode_modules(mapped_flags, proc_modules, probing_ms, total_ms,
+                   threshold):
+    """Split the mapped bitmap into runs and name them by size.
+
+    ``proc_modules`` is the world-readable ``(name, size_bytes)`` list;
+    a run whose page count matches exactly one loaded module is
+    identified, any other run stays ambiguous.
+    """
+    size_to_names = {}
+    for name, size_bytes in proc_modules:
+        pages = -(-size_bytes // PAGE_SIZE)
+        size_to_names.setdefault(pages, []).append(name)
+
+    regions = []
+    identified = {}
+    ambiguous = []
+    for start, pages in _runs_from_bitmap(mapped_flags, layout.MODULE_START):
+        region = DetectedRegion(start, pages, size_to_names.get(pages, []))
+        regions.append(region)
+        if region.identified:
+            identified[region.name] = start
+        else:
+            ambiguous.append(region)
+    return ModuleDetectionResult(
+        regions, identified, ambiguous, probing_ms, total_ms, threshold,
+    )
+
+
 def detect_modules(machine, rounds=None, calibration=None,
                    max_slots=layout.MODULE_SLOTS, engine=None):
     """Run the full module detection + size classification attack.
@@ -112,40 +154,14 @@ def detect_modules(machine, rounds=None, calibration=None,
         calibration = calibrate_store_threshold(machine, engine=engine)
 
     probe_start = core.clock.cycles
-    vas = [
-        layout.MODULE_START + slot * PAGE_SIZE for slot in range(max_slots)
-    ]
-    # min-filtered: a single spike must not split a module in two
-    timings = core.probe_sweep(vas, rounds=rounds, op="load", reduce="min",
-                               engine=engine)
+    timings = scan(core, module_candidates(max_slots), rounds, engine)
     mapped_flags = [calibration.classify_mapped(t) for t in timings]
     probing_ms = core.clock.cycles_to_ms(
         core.clock.elapsed_since(probe_start)
     )
-
-    runs = _runs_from_bitmap(mapped_flags, layout.MODULE_START)
-
-    # size correlation against /proc/modules
-    size_to_names = {}
-    for name, size_bytes in machine.kernel.proc_modules():
-        pages = -(-size_bytes // PAGE_SIZE)
-        size_to_names.setdefault(pages, []).append(name)
-
-    regions = []
-    identified = {}
-    ambiguous = []
-    for start, pages in runs:
-        candidates = size_to_names.get(pages, [])
-        region = DetectedRegion(start, pages, candidates)
-        regions.append(region)
-        if region.identified:
-            identified[region.name] = start
-        else:
-            ambiguous.append(region)
-
     total_ms = core.clock.cycles_to_ms(core.clock.elapsed_since(total_start))
-    return ModuleDetectionResult(
-        regions, identified, ambiguous, probing_ms, total_ms,
+    return decode_modules(
+        mapped_flags, machine.kernel.proc_modules(), probing_ms, total_ms,
         calibration.threshold,
     )
 

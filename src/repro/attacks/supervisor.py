@@ -36,7 +36,10 @@ identically under every engine and the chaos schedule stays
 engine-agnostic.
 """
 
+from repro.attacks import kaslr_break
 from repro.attacks.calibrate import calibrate_store_threshold, robust_stats
+from repro.attacks.kpti_break import trampoline_offset_of
+from repro.attacks.module_detect import decode_modules, module_candidates
 from repro.attacks.primitives import double_probe_load
 from repro.errors import (
     AttackError,
@@ -543,19 +546,6 @@ def supervised_scan(sup, vas, rounds, calibration, take_min=False,
     return timings, thresholds
 
 
-def _first_run(slots):
-    """Length of the leading contiguous run in a sorted slot list."""
-    if not slots:
-        return 0
-    length = 1
-    for previous, current in zip(slots, slots[1:]):
-        if current == previous + 1:
-            length += 1
-        else:
-            break
-    return length
-
-
 def _bitmap_confidence(mapped_slots, expected_len):
     """Confidence of a threshold scan from the shape of its positives.
 
@@ -579,23 +569,13 @@ def _run_kaslr(sup, rounds=None, variant=None):
     machine = sup.machine
     if rounds is None:
         rounds = machine.cpu.rounds_default
-
     if variant is None:
-        if getattr(machine.kernel, "kpti", False):
-            variant = "kpti"
-        elif machine.cpu.fills_tlb_for_supervisor_user_probe:
-            variant = "intel"
-        else:
-            variant = "amd"
+        variant = kaslr_break.kaslr_variant(machine)
 
     if variant == "amd":
-        from repro.attacks.kaslr_break import break_kaslr_amd
-
-        result = break_kaslr_amd(machine, rounds=rounds, engine=sup.engine)
-        usable = layout.KERNEL_TEXT_SLOTS - layout.KERNEL_IMAGE_2M_PAGES
-        sup.charge_probes(
-            usable * len(layout.KERNEL_4K_PAGE_OFFSETS) * rounds
-        )
+        result = kaslr_break.break_kaslr_amd(machine, rounds=rounds,
+                                             engine=sup.engine)
+        sup.charge_probes(len(kaslr_break.amd_candidates()) * rounds)
         votes = result.timings
         if result.base is None:
             return None, result, 0.0
@@ -605,8 +585,6 @@ def _run_kaslr(sup, rounds=None, variant=None):
             * (0.5 + 0.5 * min(1.0, margin / 2.0))
         return result.base, result, confidence
 
-    from repro.attacks.kaslr_break import KaslrBreakResult
-
     core = sup.core
     total_start = core.clock.cycles
     core.run_setup()
@@ -614,10 +592,7 @@ def _run_kaslr(sup, rounds=None, variant=None):
     expected_len = 1 if variant == "kpti" \
         else layout.KERNEL_IMAGE_2M_PAGES
 
-    vas = [
-        layout.kernel_base_of_slot(slot)
-        for slot in range(layout.KERNEL_TEXT_SLOTS)
-    ]
+    vas = kaslr_break.slot_candidates()
     probe_start = core.clock.cycles
     timings, thresholds = supervised_scan(sup, vas, rounds, calibration)
     probing_ms = core.clock.cycles_to_ms(
@@ -646,7 +621,7 @@ def _run_kaslr(sup, rounds=None, variant=None):
                           threshold=thr_now)
             return timing <= thr_now
 
-        for slot in range(1, layout.KERNEL_TEXT_SLOTS - 1):
+        for slot in range(1, len(vas) - 1):
             if not mapped_bits[slot] and mapped_bits[slot - 1] \
                     and mapped_bits[slot + 1]:
                 mapped_bits[slot] = reprobe(slot, "hole")
@@ -666,19 +641,14 @@ def _run_kaslr(sup, rounds=None, variant=None):
             mapped.insert(0, mapped[0] - 1)
             extensions += 1
 
-    base, slot = None, None
-    if mapped:
-        first = layout.kernel_base_of_slot(mapped[0])
-        if variant == "kpti":
-            first -= layout.KPTI_TRAMPOLINE_OFFSETS.get(
-                machine.kernel.version, layout.DEFAULT_TRAMPOLINE_OFFSET
-            )
-        base = first
-        slot = layout.kernel_slot_of(first)
+    base, slot = kaslr_break.decode_slots(
+        mapped,
+        trampoline_offset_of(machine.kernel) if variant == "kpti" else None,
+    )
     total_ms = core.clock.cycles_to_ms(
         core.clock.elapsed_since(total_start)
     )
-    result = KaslrBreakResult(
+    result = kaslr_break.KaslrBreakResult(
         base, slot, timings, calibration.threshold, probing_ms, total_ms,
         mapped, method="supervised-" + variant,
     )
@@ -686,29 +656,18 @@ def _run_kaslr(sup, rounds=None, variant=None):
     return base, result, confidence
 
 
-def _run_modules(sup, rounds=None, max_slots=None):
+def _run_modules(sup, rounds=None, max_slots=layout.MODULE_SLOTS):
     """Module detection + size identification (canary-tracked scan)."""
-    from repro.attacks.module_detect import (
-        ModuleDetectionResult,
-        DetectedRegion,
-        _runs_from_bitmap,
-    )
-    from repro.mmu.address import PAGE_SIZE
-
     machine = sup.machine
     core = sup.core
     if rounds is None:
         rounds = machine.cpu.rounds_default
-    if max_slots is None:
-        max_slots = layout.MODULE_SLOTS
 
     total_start = core.clock.cycles
     core.run_setup()
     calibration = sup.checked_calibration()
 
-    vas = [
-        layout.MODULE_START + slot * PAGE_SIZE for slot in range(max_slots)
-    ]
+    vas = module_candidates(max_slots)
     probe_start = core.clock.cycles
     # min-filtered, as in the raw attack: a spike must not split a module
     timings, thresholds = supervised_scan(
@@ -718,40 +677,23 @@ def _run_modules(sup, rounds=None, max_slots=None):
         core.clock.elapsed_since(probe_start)
     )
     mapped_flags = [t <= thr for t, thr in zip(timings, thresholds)]
-    runs = _runs_from_bitmap(mapped_flags, layout.MODULE_START)
-
-    size_to_names = {}
-    for name, size_bytes in machine.kernel.proc_modules():
-        pages = -(-size_bytes // PAGE_SIZE)
-        size_to_names.setdefault(pages, []).append(name)
-
-    regions, identified, ambiguous = [], {}, []
-    for start, pages in runs:
-        candidates = size_to_names.get(pages, [])
-        region = DetectedRegion(start, pages, candidates)
-        regions.append(region)
-        if region.identified:
-            identified[region.name] = start
-        else:
-            ambiguous.append(region)
     total_ms = core.clock.cycles_to_ms(
         core.clock.elapsed_since(total_start)
     )
-    result = ModuleDetectionResult(
-        regions, identified, ambiguous, probing_ms, total_ms,
-        calibration.threshold,
-    )
+    proc_modules = machine.kernel.proc_modules()
+    result = decode_modules(mapped_flags, proc_modules, probing_ms, total_ms,
+                            calibration.threshold)
 
-    total = len(machine.kernel.proc_modules())
+    total = len(proc_modules)
     if total == 0:
         return {}, result, 1.0
-    resolved = len(identified) + 0.5 * sum(
-        1 for region in ambiguous if region.candidates
+    resolved = len(result.identified) + 0.5 * sum(
+        1 for region in result.ambiguous if region.candidates
     )
     confidence = max(0.0, min(1.0, resolved / total))
-    if not identified:
+    if not result.identified:
         return None, result, 0.0
-    return dict(identified), result, confidence
+    return dict(result.identified), result, confidence
 
 
 def _run_windows(sup, rounds=None):
