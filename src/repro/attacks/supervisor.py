@@ -67,6 +67,9 @@ AMBIGUITY_MARGIN_CYCLES = 6.0
 #: post-attack re-measurement, on top of the sigma-scaled slack
 DRIFT_SLACK_CYCLES = 10.0
 
+#: application the fingerprint attack identifies unless told otherwise
+FINGERPRINT_WORKLOAD = "video-call"
+
 #: confidence multiplier applied when a verdict is degraded instead of
 #: dropped (deadline exhaustion, late completion under a campaign)
 DEGRADE_FACTOR = 0.5
@@ -787,7 +790,7 @@ def _run_sgx(sup, rounds=2, identify=True):
     return result.code_base, result, confidence
 
 
-def _run_fingerprint(sup, workload="video-call", intervals=24,
+def _run_fingerprint(sup, workload=FINGERPRINT_WORKLOAD, intervals=24,
                      profiles=None):
     """Application fingerprinting over sentinel-module TLB states."""
     from repro.attacks.fingerprint import ApplicationFingerprinter
@@ -849,6 +852,41 @@ _RUNNERS = {
 
 #: the attacks the supervisor knows how to wrap
 SUPERVISED_ATTACKS = tuple(sorted(_RUNNERS))
+
+
+def supervised_truth(machine, attack, **kwargs):
+    """The ground truth a supervised ``attack`` on ``machine`` recovers.
+
+    ``kwargs`` are the attack's runner arguments (the fingerprinted
+    ``workload``).  The answer is a kernel or process base, the true
+    module load addresses by name, or the running application's name.
+    """
+    if attack in ("kaslr", "kpti", "windows", "cloud"):
+        return machine.kernel.base
+    if attack in ("userspace", "sgx"):
+        return machine.process.text_base
+    if attack == "modules":
+        return {name: start
+                for name, (start, __) in machine.kernel.module_map.items()}
+    if attack == "fingerprint":
+        workload = kwargs.get("workload", FINGERPRINT_WORKLOAD)
+        return workload if isinstance(workload, str) \
+            else workload.profile.name
+    raise AttackError("no ground truth for attack {!r}".format(attack))
+
+
+def verdict_correct(verdict, truth):
+    """Whether ``verdict`` recovered ``truth`` (:func:`supervised_truth`).
+
+    A module verdict is correct when it identified some module and every
+    address it reports is that module's true load address.
+    """
+    if isinstance(truth, dict):
+        return bool(verdict.value) and all(
+            truth.get(name) == address
+            for name, address in verdict.value.items()
+        )
+    return verdict.value == truth
 
 
 def supervise(machine, attack, max_retries=3, probe_budget=None,

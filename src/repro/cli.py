@@ -84,15 +84,19 @@ def _add_chaos(parser):
 
 def _print_verdict(verdict, truth=None):
     """Shared report for supervised runs."""
+    from repro.attacks.supervisor import verdict_correct
+
     value = verdict.value
     if isinstance(value, int):
         value = hex(value)
     print("status     : {}".format(verdict.status))
     print("value      : {}".format(value))
     if truth is not None:
-        print("truth      : {:#x}".format(truth))
+        if not isinstance(truth, dict):  # module truth is a name->address map
+            print("truth      : {}".format(
+                hex(truth) if isinstance(truth, int) else truth))
         print("verdict    : {}".format(
-            "CORRECT" if verdict.value == truth else "WRONG"))
+            "CORRECT" if verdict_correct(verdict, truth) else "WRONG"))
     print("confidence : {:.3f}".format(verdict.confidence))
     print("retries    : {}".format(verdict.retries))
     print("probes     : {}".format(verdict.probes_spent))
@@ -301,7 +305,7 @@ def cmd_sgx(args):
 
 
 def cmd_chaos(args):
-    from repro.attacks.supervisor import supervise
+    from repro.attacks.supervisor import supervise, supervised_truth
     from repro.chaos import CHAOS_PROFILES
 
     if args.list:
@@ -340,12 +344,7 @@ def cmd_chaos(args):
     else:
         print("attack     : {} under profile {!r}".format(
             args.attack, args.profile))
-        truth = None
-        if args.attack in ("kaslr", "kpti", "windows", "cloud"):
-            truth = machine.kernel.base
-        elif args.attack in ("userspace", "sgx"):
-            truth = machine.process.text_base
-        _print_verdict(verdict, truth=truth)
+        _print_verdict(verdict, truth=supervised_truth(machine, args.attack))
     return 0 if verdict.found else 1
 
 

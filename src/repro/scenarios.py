@@ -146,7 +146,11 @@ def _run_sgx(machine, params):
 @_attack("supervised")
 def _run_supervised(machine, params):
     """Any attack through the supervisor (for chaos scenarios)."""
-    from repro.attacks.supervisor import supervise
+    from repro.attacks.supervisor import (
+        supervise,
+        supervised_truth,
+        verdict_correct,
+    )
 
     attack = params.pop("attack", "kaslr")
     verdict = supervise(
@@ -162,20 +166,12 @@ def _run_supervised(machine, params):
         "retries": verdict.retries,
         "disturbances": len(verdict.disturbances),
         "probes": verdict.probes_spent,
+        "correct": verdict_correct(
+            verdict, supervised_truth(machine, attack, **params)
+        ),
     }
-    if attack in ("kaslr", "kpti", "windows"):
-        observations["correct"] = verdict.value == machine.kernel.base
-    elif attack == "modules":
-        truth = machine.kernel.module_map
-        observations["correct"] = bool(verdict.value) and all(
-            truth.get(name, (None,))[0] == addr
-            for name, addr in verdict.value.items()
-        )
+    if attack == "modules":
         observations["identified"] = len(verdict.value or {})
-    elif attack in ("userspace", "sgx"):
-        observations["correct"] = verdict.value == machine.process.text_base
-    else:
-        observations["correct"] = verdict.found
     return observations
 
 

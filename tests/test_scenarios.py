@@ -152,6 +152,33 @@ class TestSupervisedScenarios:
         assert result.passed, result.violations
         assert result.observations["disturbances"] > 0
 
+    @pytest.mark.parametrize("machine, attack, wrong, right", [
+        ({"os": "cloud", "provider": "ec2", "seed": 1}, {"attack": "cloud"},
+         lambda m: m.kernel.base + 0x200000, lambda m: m.kernel.base),
+        ({"os": "linux", "seed": 1},
+         {"attack": "fingerprint", "workload": "music-player"},
+         lambda m: "video-call", lambda m: "music-player"),
+    ], ids=["cloud", "fingerprint"])
+    def test_found_but_wrong_value_is_not_correct(self, monkeypatch,
+                                                  machine, attack, wrong,
+                                                  right):
+        from repro.attacks import supervisor
+
+        for make_value, correct in ((wrong, False), (right, True)):
+            def found(machine, name, **kwargs):
+                return supervisor.Verdict(
+                    name, supervisor.FOUND, make_value(machine), None, 0.9,
+                    0, [], [], 0, 0.0,
+                )
+
+            monkeypatch.setattr(supervisor, "supervise", found)
+            result = run_scenario(_scenario(
+                machine=machine,
+                attack=dict(attack, kind="supervised"),
+                expect={"status": "found"},
+            ))
+            assert result.observations["correct"] is correct
+
     def test_shipped_chaos_scenarios_pass(self):
         for stem in ("chaos_default_kaslr", "chaos_rerandomizing_kaslr"):
             result = run_scenario(SCENARIO_DIR / (stem + ".json"))
