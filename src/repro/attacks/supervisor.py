@@ -15,9 +15,10 @@ The :class:`AttackSupervisor` closes the loop around every attack:
   re-measured; if the store mode moved (a frequency transition landed
   mid-attack), the attempt is discarded and re-run with a fresh
   calibration;
-* **ambiguous-slot re-probing** -- slots whose timing sits within a
-  margin of the decision threshold are re-measured with escalating
-  rounds before classification is final;
+* **repair** -- holes in the mapped run, slots whose timing sits within
+  a margin of the decision threshold, and the run's leading edge are
+  re-measured per-op with doubled rounds before classification is
+  final;
 * **re-randomization aborts** -- if the chaos log shows the kernel moved
   mid-attempt, the attempt raises
   :class:`~repro.errors.DisturbanceAbort` and is retried;
@@ -278,11 +279,7 @@ class AttackSupervisor:
         """
         core = self.core
         with core.obs.span("drift-check", samples=samples) as span:
-            core.chaos_poll()
-            page = self.machine.playground.user_rw
-            values = [core.timed_masked_store(page) for _ in range(samples)]
-            self.charge_probes(samples)
-            median, __, __ = robust_stats(values)
+            median = _canary(self, samples)
             slack = max(
                 4.0 * max(calibration.std, 1.0) + DRIFT_SLACK_CYCLES,
                 core.timer_resolution,
@@ -305,39 +302,6 @@ class AttackSupervisor:
                 "kernel layout re-randomized mid-attempt; measurements "
                 "describe a stale layout"
             )
-
-    # -- ambiguous-slot re-probing -------------------------------------------
-
-    def reprobe_ambiguous(self, vas_timings, calibration, base_rounds,
-                          margin=AMBIGUITY_MARGIN_CYCLES, escalations=2):
-        """Re-measure timings too close to the threshold to trust.
-
-        ``vas_timings`` is a list of (va, timing).  Each ambiguous entry
-        is re-probed per-op with doubled rounds per escalation until it
-        clears the margin (or escalations run out; the last measurement
-        then stands).  Returns the corrected timings list and the number
-        of re-probed slots.
-        """
-        threshold = calibration.threshold
-        corrected = []
-        reprobed = 0
-        for va, timing in vas_timings:
-            if abs(timing - threshold) > margin:
-                corrected.append(timing)
-                continue
-            reprobed += 1
-            rounds = base_rounds
-            for _ in range(escalations):
-                rounds *= 2
-                self.charge_probes(rounds)
-                timing = double_probe_load(self.core, va, rounds)
-                if abs(timing - threshold) > margin:
-                    break
-            corrected.append(timing)
-        obs = self.core.obs
-        if obs.enabled and reprobed:
-            obs.metrics.inc("supervisor.reprobes", reprobed)
-        return corrected, reprobed
 
     # -- the supervision loop -------------------------------------------------
 
@@ -370,40 +334,28 @@ class AttackSupervisor:
                         self._check_time_budget()
                         value, result, confidence = runner(self, **kwargs)
                         self._check_layout_stable(generation)
-                    except CalibrationError as exc:
+                    except (CalibrationError, DisturbanceAbort) as exc:
+                        outcome = ("calibration-rejected"
+                                   if isinstance(exc, CalibrationError)
+                                   else "rerandomized")
                         attempts.append(self._record(
-                            attempt, "calibration-rejected", exc, chaos, mark
+                            attempt, outcome, exc, chaos, mark
                         ))
-                        attempt_span.set(outcome="calibration-rejected")
-                        obs.event("retry", attempt=attempt,
-                                  outcome="calibration-rejected",
+                        attempt_span.set(outcome=outcome)
+                        obs.event("retry", attempt=attempt, outcome=outcome,
                                   detail=str(exc))
                         if obs.enabled:
                             obs.metrics.inc("supervisor.retries")
                         self._backoff(attempt)
                         continue
-                    except DisturbanceAbort as exc:
-                        attempts.append(self._record(
-                            attempt, "rerandomized", exc, chaos, mark
-                        ))
-                        attempt_span.set(outcome="rerandomized")
-                        obs.event("retry", attempt=attempt,
-                                  outcome="rerandomized", detail=str(exc))
-                        if obs.enabled:
-                            obs.metrics.inc("supervisor.retries")
-                        self._backoff(attempt)
-                        continue
-                    except ProbeBudgetExceeded as exc:
-                        attempts.append(self._record(
-                            attempt, "budget-exceeded", exc, chaos, mark
-                        ))
-                        attempt_span.set(outcome="budget-exceeded")
-                        break
                     except AttackError as exc:
+                        outcome = ("budget-exceeded"
+                                   if isinstance(exc, ProbeBudgetExceeded)
+                                   else "error")
                         attempts.append(self._record(
-                            attempt, "error", exc, chaos, mark
+                            attempt, outcome, exc, chaos, mark
                         ))
-                        attempt_span.set(outcome="error")
+                        attempt_span.set(outcome=outcome)
                         break
                     attempts.append(self._record(
                         attempt, "ok", "", chaos, mark
@@ -435,9 +387,7 @@ class AttackSupervisor:
         if obs.enabled:
             obs.event(
                 "verdict", attack=attack, status=verdict.status,
-                value=(hex(value)
-                       if isinstance(value, int)
-                       and not isinstance(value, bool) else value),
+                value=verdict.as_dict()["value"],
                 confidence=round(verdict.confidence, 4),
                 retries=verdict.retries,
                 probes_spent=verdict.probes_spent,
@@ -457,9 +407,11 @@ class AttackSupervisor:
 #
 # Each runner performs one *checked* attempt: calibrate (with sanity
 # checks), run the raw attack under canary supervision, re-probe
-# ambiguity, and return (value, raw_result, confidence).  Disturbance-
-# triggered problems surface as CalibrationError / DisturbanceAbort,
-# which the supervision loop converts into retries.
+# ambiguity, and return (value, raw_result, confidence).  The Linux
+# slot scans take their candidates and decode from the drivers and own
+# only the scan and repair between them.  Disturbance-triggered
+# problems surface as CalibrationError / DisturbanceAbort, which the
+# supervision loop converts into retries.
 
 
 def _canary(sup, samples=16):
