@@ -180,8 +180,8 @@ def break_kaslr_intel(machine, rounds=None, calibration=None, engine=None):
     ``engine`` selects the sweep executor for the 512-slot sweep and the
     calibration (:meth:`repro.cpu.core.Core.probe_sweep`).
     """
-    return break_slots(machine, rounds, calibration, engine, None,
-                       method="intel-p2")
+    return break_slots(machine, rounds, calibration, engine,
+                       trampoline_offset=None, method="intel-p2")
 
 
 def break_kaslr_amd(machine, rounds=None,
