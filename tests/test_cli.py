@@ -49,6 +49,11 @@ class TestCommands:
         assert code == 0
         assert "CORRECT" in capsys.readouterr().out
 
+    def test_modules_exits_1_when_detection_fails(self, capsys):
+        # module detection is Intel-only: on AMD it finds nothing
+        assert main(["modules", "--cpu", "ryzen5-5600X", "--seed", "0"]) == 1
+        assert "identified" in capsys.readouterr().out
+
     def test_windows(self, capsys):
         assert main(["windows", "--seed", "6"]) == 0
         assert "region-scan" in capsys.readouterr().out
