@@ -48,9 +48,13 @@ class CloudBreakResult:
         )
 
 
-def audit_cloud(provider, seed=0, machine=None, detect_kernel_modules=True,
-                engine=None):
-    """Run the paper's attack suite against one cloud instance."""
+def audit_cloud(provider=None, seed=0, machine=None,
+                detect_kernel_modules=True, engine=None):
+    """Run the paper's attack suite against one cloud instance.
+
+    Boots ``provider``'s instance from ``seed``, or audits ``machine``
+    (a :meth:`Machine.cloud` instance) when one is given.
+    """
     if machine is None:
         machine = Machine.cloud(provider, seed=seed)
     instance = machine.instance

@@ -1,8 +1,9 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Each command boots a simulated machine and runs one of the paper's
-attacks against it, printing a short report.  Useful for exploring the
-system without writing code:
+Each attack command translates its flags into a scenario spec (see
+:mod:`repro.scenarios`), boots the simulated machine it names, runs the
+attack and prints the same report as ``repro scenario``.  Useful for
+exploring the system without writing code:
 
     python -m repro cpus
     python -m repro kaslr --cpu i7-1065G7 --seed 7
@@ -115,6 +116,24 @@ def _print_verdict(verdict, truth=None):
             " ({})".format(attempt.detail) if attempt.detail else ""))
 
 
+def _print_result(result, victim=None):
+    """Shared report for scenario results: attack verbs and `scenario`."""
+    print("scenario : {}".format(result.name))
+    if victim is not None:
+        print("victim   : {}".format(victim))
+    for key, value in result.observations.items():
+        if key == "base":
+            value = hex(value) if value else None
+        elif key == "correct":
+            value = "CORRECT" if value else "WRONG"
+        elif isinstance(value, float):
+            value = "{:.3f}".format(value)
+        print("  {:<16} {}".format(key, value))
+    print("verdict  : {}".format("PASS" if result.passed else "FAIL"))
+    for violation in result.violations:
+        print("  violated: {}".format(violation))
+
+
 def cmd_cpus(args):
     print("{:<18} {:<28} {:<12} {:>8} {}".format(
         "key", "name", "uarch", "GHz", "notes"))
@@ -132,183 +151,66 @@ def cmd_cpus(args):
     return 0
 
 
-def cmd_kaslr(args):
-    from repro.attacks.kaslr_break import break_kaslr
-
-    if args.chaos_profile:
-        from repro.attacks.supervisor import supervise
-
-        machine = Machine.linux(cpu=args.cpu, seed=args.seed,
-                                chaos=args.chaos_profile)
-        tracer, started = _maybe_tracer(args, machine, "kaslr")
-        verdict = supervise(machine, "kaslr", max_retries=args.max_retries,
-                            engine=args.engine, rounds=args.rounds)
-        _finish_tracer(tracer, started)
-        _print_verdict(verdict, truth=machine.kernel.base)
-        return 0 if verdict.value == machine.kernel.base else 1
-
-    machine = Machine.linux(cpu=args.cpu, seed=args.seed)
-    tracer, started = _maybe_tracer(args, machine, "kaslr")
-    result = break_kaslr(machine, rounds=args.rounds,
-                         engine=args.engine)
-    _finish_tracer(tracer, started)
-    ok = result.base == machine.kernel.base
-    print("method   : {}".format(result.method))
-    print("base     : {}".format(hex(result.base) if result.base else None))
-    print("truth    : {:#x}".format(machine.kernel.base))
-    print("verdict  : {}".format("CORRECT" if ok else "WRONG"))
-    print("probing  : {:.3f} ms".format(result.probing_ms))
-    print("total    : {:.3f} ms".format(result.total_ms))
-    return 0 if ok else 1
-
-
-def cmd_modules(args):
-    from repro.attacks.module_detect import detect_modules, region_accuracy
-
-    if args.chaos_profile:
-        from repro.attacks.supervisor import supervise
-
-        machine = Machine.linux(cpu=args.cpu, seed=args.seed,
-                                chaos=args.chaos_profile)
-        tracer, started = _maybe_tracer(args, machine, "modules")
-        verdict = supervise(machine, "modules",
-                            max_retries=args.max_retries,
-                            engine=args.engine)
-        _finish_tracer(tracer, started)
-        _print_verdict(verdict)
-        truth = machine.kernel.module_map
-        wrong = [
-            name for name, addr in (verdict.value or {}).items()
-            if truth.get(name, (None,))[0] != addr
-        ]
-        print("identified : {} ({} wrong)".format(
-            len(verdict.value or {}), len(wrong)))
-        return 0 if verdict.found and not wrong else 1
-
-    machine = Machine.linux(cpu=args.cpu, seed=args.seed)
-    tracer, started = _maybe_tracer(args, machine, "modules")
-    result = detect_modules(machine, engine=args.engine)
-    _finish_tracer(tracer, started)
-    accuracy = region_accuracy(result, machine.kernel)
-    print("regions    : {}".format(len(result.regions)))
-    print("identified : {}".format(len(result.identified)))
-    print("accuracy   : {:.2%}".format(accuracy))
-    print("probing    : {:.2f} ms".format(result.probing_ms))
-    for name, address in sorted(result.identified.items()):
-        print("  {:<20} @ {:#x}".format(name, address))
-    # the `modules` scenario kind's rule: a region map below 98 %
-    # accuracy is a failed detection
-    return 0 if accuracy >= 0.98 else 1
-
-
-def cmd_kpti(args):
-    from repro.attacks.kpti_break import break_kaslr_kpti
-
-    if args.chaos_profile:
-        from repro.attacks.supervisor import supervise
-
-        machine = Machine.linux(cpu=args.cpu, seed=args.seed, kpti=True,
-                                chaos=args.chaos_profile)
-        tracer, started = _maybe_tracer(args, machine, "kpti")
-        verdict = supervise(machine, "kpti", max_retries=args.max_retries,
-                            engine=args.engine)
-        _finish_tracer(tracer, started)
-        _print_verdict(verdict, truth=machine.kernel.base)
-        return 0 if verdict.value == machine.kernel.base else 1
-
-    machine = Machine.linux(cpu=args.cpu, seed=args.seed, kpti=True)
-    tracer, started = _maybe_tracer(args, machine, "kpti")
-    result = break_kaslr_kpti(machine, engine=args.engine)
-    _finish_tracer(tracer, started)
-    ok = result.base == machine.kernel.base
-    print("trampoline offset : {:#x}".format(
-        machine.kernel.trampoline_offset))
-    print("derived base      : {}".format(
-        hex(result.base) if result.base else None))
-    print("verdict           : {}".format("CORRECT" if ok else "WRONG"))
-    return 0 if ok else 1
-
-
-def cmd_spy(args):
-    from repro.attacks.fingerprint import ApplicationFingerprinter
-    from repro.workloads.apps import APP_CATALOG, ApplicationWorkload
-
-    machine = Machine.linux(cpu=args.cpu, seed=args.seed)
-    spy = ApplicationFingerprinter(machine, engine=args.engine)
-    workload = ApplicationWorkload(args.app, seed=args.seed + 1)
-    guess, observation, ranking = spy.identify(
-        workload, list(APP_CATALOG.values()), intervals=args.intervals
-    )
-    print("true application : {}".format(args.app))
-    print("observed rates   :")
-    for name, rate in sorted(observation.rates.items()):
-        if rate > 0:
-            print("  {:<16} {:.0%}".format(name, rate))
-    print("classified as    : {} ({})".format(
-        guess, "CORRECT" if guess == args.app else "WRONG"))
-    return 0 if guess == args.app else 1
-
-
-def cmd_windows(args):
-    from repro.attacks.windows_break import (
-        find_kernel_region,
-        find_kvas_region,
-    )
-
-    if args.kvas:
-        machine = Machine.windows(cpu="i7-6600U", version="1709",
-                                  seed=args.seed)
-        result = find_kvas_region(machine, engine=args.engine)
+def _attack_spec(args):
+    """Translate an attack verb's flags into a scenario spec."""
+    verb = args.command
+    machine = {"os": "linux", "cpu": getattr(args, "cpu", None),
+               "seed": args.seed}
+    name = verb
+    if verb == "kaslr":
+        attack = {"kind": "kaslr", "rounds": args.rounds}
+    elif verb == "modules":
+        attack = {"kind": "modules"}
+    elif verb == "kpti":
+        machine["kpti"] = True
+        name, attack = "kpti-trampoline", {"kind": "kpti"}
+    elif verb == "spy":
+        name, attack = "fingerprint", {
+            "kind": "fingerprint", "app": args.app,
+            "victim_seed": args.seed + 1, "intervals": args.intervals,
+        }
+    elif verb == "windows" and args.kvas:
+        machine = {"os": "windows", "cpu": "i7-6600U", "version": "1709",
+                   "seed": args.seed}
+        name, attack = "kvas-scan", {"kind": "windows-kvas"}
+    elif verb == "windows":
+        machine["os"] = "windows"
+        name, attack = "region-scan", {"kind": "windows-region"}
+    elif verb == "cloud":
+        machine = {"os": "cloud", "provider": args.provider,
+                   "seed": args.seed}
+        attack = {"kind": "cloud"}
     else:
-        machine = Machine.windows(cpu=args.cpu, seed=args.seed)
-        result = find_kernel_region(machine, engine=args.engine)
-    ok = result.base == machine.kernel.base
-    print("method   : {}".format(result.method))
-    print("base     : {}".format(hex(result.base) if result.base else None))
-    print("verdict  : {}".format("CORRECT" if ok else "WRONG"))
-    print("bits     : {}".format(result.derandomized_bits))
-    print("runtime  : {:.3f} s (extrapolated)".format(
-        result.probing_seconds))
-    return 0 if ok else 1
+        attack = {"kind": "sgx", "identify": True}
+    attack["engine"] = getattr(args, "engine", None)
+    if getattr(args, "chaos_profile", None):
+        machine["chaos"] = args.chaos_profile
+        name = "supervised-" + verb
+        attack = dict(attack, kind="supervised", attack=verb,
+                      max_retries=args.max_retries)
+    return {"name": name, "machine": machine, "attack": attack,
+            "expect": {"correct": True}}
 
 
-def cmd_cloud(args):
-    from repro.attacks.cloud_break import audit_cloud
+def cmd_attack(args):
+    """Every attack verb: its flags become a scenario spec, run on a
+    machine booted from that spec, reported like `repro scenario`."""
+    from repro.scenarios import _build_machine, load_scenario, run_on
 
-    result = audit_cloud(args.provider, seed=args.seed,
-                         engine=args.engine)
-    print("provider : {}".format(result.provider))
-    print("method   : {}".format(result.method))
-    print("base     : {}".format(hex(result.base) if result.base else None))
-    print("verdict  : {}".format(
-        "CORRECT" if result.base_correct else "WRONG"))
-    print("base time: {:.3f} ms".format(result.base_ms))
-    if result.modules_ms is not None:
-        print("modules  : {:.2f} ms ({} identified)".format(
-            result.modules_ms, result.modules_identified))
-    return 0 if result.base_correct else 1
-
-
-def cmd_sgx(args):
-    from repro.attacks.sgx_break import break_aslr_from_enclave
-
-    machine = Machine.linux(cpu=args.cpu, seed=args.seed)
-    machine.create_enclave()
-    result = break_aslr_from_enclave(machine)
-    ok = result.code_base == machine.process.text_base
-    print("code base : {}".format(
-        hex(result.code_base) if result.code_base else None))
-    print("verdict   : {}".format("CORRECT" if ok else "WRONG"))
-    print("load pass : {:.1f} s".format(result.load_seconds))
-    print("store pass: {:.1f} s".format(result.store_seconds))
-    print("libraries : {}".format(
-        ", ".join(m.name for m in result.libraries.matches)))
-    return 0 if ok else 1
+    spec = load_scenario(_attack_spec(args))
+    machine = _build_machine(spec["machine"])
+    tracer, started = _maybe_tracer(args, machine, args.command)
+    result = run_on(machine, spec)
+    _finish_tracer(tracer, started)
+    _print_result(result, victim=(machine.instance.provider
+                                  if machine.instance else machine.cpu.name))
+    return 0 if result.passed else 1
 
 
 def cmd_chaos(args):
     from repro.attacks.supervisor import supervise, supervised_truth
     from repro.chaos import CHAOS_PROFILES
+    from repro.scenarios import _build_machine
 
     if args.list:
         for name, profile in sorted(CHAOS_PROFILES.items()):
@@ -321,16 +223,13 @@ def cmd_chaos(args):
     if cpu is None:
         cpu = "i7-1065G7" if args.attack in ("sgx", "fingerprint") \
             else "i5-12400F"
-    if args.attack == "windows":
-        machine = Machine.windows(cpu=cpu, seed=args.seed,
-                                  chaos=args.profile)
-    elif args.attack == "cloud":
-        machine = Machine.cloud(args.provider, seed=args.seed,
-                                chaos=args.profile)
+    if args.attack == "cloud":
+        spec = {"os": "cloud", "provider": args.provider}
+    elif args.attack == "windows":
+        spec = {"os": "windows", "cpu": cpu}
     else:
-        machine = Machine.linux(cpu=cpu, seed=args.seed,
-                                kpti=(args.attack == "kpti"),
-                                chaos=args.profile)
+        spec = {"os": "linux", "cpu": cpu, "kpti": args.attack == "kpti"}
+    machine = _build_machine(dict(spec, seed=args.seed, chaos=args.profile))
 
     tracer, started = _maybe_tracer(args, machine, "chaos " + args.attack)
     verdict = supervise(machine, args.attack, max_retries=args.max_retries,
@@ -354,14 +253,7 @@ def cmd_scenario(args):
     from repro.scenarios import run_scenario
 
     result = run_scenario(args.path)
-    print("scenario : {}".format(result.name))
-    for key, value in result.observations.items():
-        if isinstance(value, int) and key in ("base",):
-            value = hex(value) if value else None
-        print("  {:<16} {}".format(key, value))
-    print("verdict  : {}".format("PASS" if result.passed else "FAIL"))
-    for violation in result.violations:
-        print("  violated: {}".format(violation))
+    _print_result(result)
     return 0 if result.passed else 1
 
 
@@ -817,27 +709,17 @@ def build_parser():
     subparsers.add_parser("cpus", help="list CPU models").set_defaults(
         func=cmd_cpus)
 
-    p = subparsers.add_parser("kaslr", help="break the kernel base")
-    _add_common(p)
-    _add_per_op(p)
-    _add_chaos(p)
-    _add_trace(p)
-    p.add_argument("--rounds", type=int, default=None)
-    p.set_defaults(func=cmd_kaslr)
-
-    p = subparsers.add_parser("modules", help="detect kernel modules")
-    _add_common(p)
-    _add_per_op(p)
-    _add_chaos(p)
-    _add_trace(p)
-    p.set_defaults(func=cmd_modules)
-
-    p = subparsers.add_parser("kpti", help="break KASLR despite KPTI")
-    _add_common(p)
-    _add_per_op(p)
-    _add_chaos(p)
-    _add_trace(p)
-    p.set_defaults(func=cmd_kpti)
+    for verb, text in (("kaslr", "break the kernel base"),
+                       ("modules", "detect kernel modules"),
+                       ("kpti", "break KASLR despite KPTI")):
+        p = subparsers.add_parser(verb, help=text)
+        _add_common(p)
+        _add_per_op(p)
+        _add_chaos(p)
+        _add_trace(p)
+        if verb == "kaslr":
+            p.add_argument("--rounds", type=int, default=None)
+        p.set_defaults(func=cmd_attack)
 
     p = subparsers.add_parser("spy", help="fingerprint an application")
     _add_common(p, default_cpu="i7-1065G7")
@@ -845,24 +727,24 @@ def build_parser():
     p.add_argument("--app", default="video-call",
                    help="victim application (see repro.workloads.apps)")
     p.add_argument("--intervals", type=int, default=24)
-    p.set_defaults(func=cmd_spy)
+    p.set_defaults(func=cmd_attack)
 
     p = subparsers.add_parser("windows", help="Windows region/KVAS scan")
     _add_common(p)
     _add_per_op(p)
     p.add_argument("--kvas", action="store_true",
                    help="attack a KVA-Shadow kernel instead")
-    p.set_defaults(func=cmd_windows)
+    p.set_defaults(func=cmd_attack)
 
     p = subparsers.add_parser("cloud", help="audit a cloud provider")
     p.add_argument("provider", choices=("ec2", "gce", "azure"))
     p.add_argument("--seed", type=int, default=0)
     _add_per_op(p)
-    p.set_defaults(func=cmd_cloud)
+    p.set_defaults(func=cmd_attack)
 
     p = subparsers.add_parser("sgx", help="in-enclave user ASLR break")
     _add_common(p, default_cpu="i7-1065G7")
-    p.set_defaults(func=cmd_sgx)
+    p.set_defaults(func=cmd_attack)
 
     p = subparsers.add_parser("poc", help="run the assembly PoC")
     _add_common(p)

@@ -143,6 +143,25 @@ def _run_sgx(machine, params):
     }
 
 
+@_attack("cloud")
+def _run_cloud(machine, params):
+    from repro.attacks.cloud_break import audit_cloud
+
+    if getattr(machine, "instance", None) is None:
+        raise ConfigError('the "cloud" attack needs an "os": "cloud" '
+                          "machine")
+    result = audit_cloud(machine=machine, engine=params.get("engine"))
+    return {
+        "correct": result.base_correct,
+        "provider": result.provider,
+        "method": result.method,
+        "base": result.base,
+        "base_ms": result.base_ms,
+        "modules_ms": result.modules_ms,
+        "identified": result.modules_identified,
+    }
+
+
 @_attack("supervised")
 def _run_supervised(machine, params):
     """Any attack through the supervisor (for chaos scenarios)."""
@@ -402,8 +421,12 @@ def _check_engine_param(params):
         )
 
 
-def run_scenario(scenario):
-    """Run one scenario (dict, JSON text, or file path)."""
+def load_scenario(scenario):
+    """Read a scenario (dict or file path) and check it before any boot.
+
+    Rejects a missing field, an unknown attack kind and a bad sweep
+    engine, so a broken spec never pays for a machine.
+    """
     if isinstance(scenario, (str, pathlib.Path)):
         path = pathlib.Path(scenario)
         try:
@@ -421,17 +444,21 @@ def run_scenario(scenario):
             raise ConfigError(
                 "scenario is missing the {!r} field".format(field)
             )
-    attack_spec = dict(scenario["attack"])
-    kind = attack_spec.pop("kind", None)
+    kind = scenario["attack"].get("kind")
     if kind not in _ATTACKS:
         raise ConfigError(
             "unknown attack kind {!r}; known: {}".format(
                 kind, ", ".join(sorted(_ATTACKS))
             )
         )
-    _check_engine_param(attack_spec)
-    machine = _build_machine(scenario["machine"])
-    observations = _ATTACKS[kind](machine, attack_spec)
+    _check_engine_param(scenario["attack"])
+    return scenario
+
+
+def run_on(machine, scenario):
+    """Run a loaded scenario's attack on ``machine`` and judge it."""
+    params = dict(scenario["attack"])
+    observations = _ATTACKS[params.pop("kind")](machine, params)
     violations = _check_expectations(
         scenario.get("expect", {}), observations
     )
@@ -441,6 +468,12 @@ def run_scenario(scenario):
         chaos_digest=(machine.chaos.schedule_digest()
                       if machine.chaos is not None else None),
     )
+
+
+def run_scenario(scenario):
+    """Run one scenario (dict or file path) on a freshly booted machine."""
+    scenario = load_scenario(scenario)
+    return run_on(_build_machine(scenario["machine"]), scenario)
 
 
 def _run_scenario_guarded(path):
