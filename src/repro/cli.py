@@ -195,9 +195,9 @@ def _attack_spec(args):
 def cmd_attack(args):
     """Every attack verb: its flags become a scenario spec, run on a
     machine booted from that spec, reported like `repro scenario`."""
-    from repro.scenarios import _build_machine, load_scenario, run_on
+    from repro.scenarios import _build_machine, run_on
 
-    spec = load_scenario(_attack_spec(args))
+    spec = _attack_spec(args)
     machine = _build_machine(spec["machine"])
     tracer, started = _maybe_tracer(args, machine, args.command)
     result = run_on(machine, spec)

@@ -101,6 +101,27 @@ class TestRunScenario:
         })
         assert result.passed
 
+    @pytest.mark.parametrize("provider", ["ec2", "gce", "azure"])
+    def test_cloud_kind_audits_the_instance(self, provider):
+        from repro.os.cloud.instances import CLOUD_CATALOG
+
+        result = run_scenario({
+            "name": provider,
+            "machine": {"os": "cloud", "provider": provider, "seed": 2},
+            "attack": {"kind": "cloud"},
+            "expect": {"correct": True},
+        })
+        assert result.passed, result.violations
+        observations = result.observations
+        assert observations["correct"] is True
+        assert observations["provider"] == CLOUD_CATALOG[provider].provider
+        # Azure runs Windows: the module scan is Linux-only
+        assert (observations["modules_ms"] is None) == (provider == "azure")
+
+    def test_cloud_kind_needs_a_cloud_machine(self):
+        with pytest.raises(ConfigError, match='"os": "cloud"'):
+            run_scenario(_scenario(attack={"kind": "cloud"}))
+
 
 class TestShippedScenarios:
     def test_directory_exists_with_scenarios(self):
