@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs lint: the module map must be complete, intra-doc links alive.
 
-Three checks, all cheap enough for every CI run:
+Four checks, all cheap enough for every CI run:
 
 * **module-map completeness** -- every module file under ``src/repro/``
   (``__init__.py`` / ``__main__.py`` excepted; they re-export and
@@ -17,13 +17,21 @@ Three checks, all cheap enough for every CI run:
   ``docs/performance.md``, and the file itself must be named there.
   Adding a benchmark section without documenting its speed contract
   fails the build.
+* **runnable CLI examples** -- every ``python -m repro ...`` line in a
+  fenced block of ``README.md`` or ``docs/*.md`` must parse with
+  ``repro.cli.build_parser()`` (``\\`` continuations joined, trailing
+  ``#`` comments, pipes and redirections dropped), and any ``--cpu``
+  value must be a ``CPU_CATALOG`` key.
 
 Exit status 0 when clean, 1 with one line per violation otherwise.
 """
 
+import contextlib
+import io
 import json
 import pathlib
 import re
+import shlex
 import sys
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -37,6 +45,18 @@ EXEMPT = {"__init__.py", "__main__.py"}
 #: markdown inline links; deliberately simple -- the docs do not nest
 #: brackets inside link text
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+
+#: a shell line running the CLI: optional ``$ `` prompt and environment
+#: assignments, then ``python -m repro`` and its arguments
+_REPRO_COMMAND = re.compile(r"^(?:\$\s+)?(?:\w+=\S*\s+)*python -m repro\b(.*)")
+#: where a shell line's repro arguments end: a comment, pipe,
+#: redirection, background marker or command separator
+_SHELL_TAIL = re.compile(r"\s(?:#|\||[0-9]?>|&|;)")
+
+
+def _pages():
+    return [REPO / "README.md"] + sorted((REPO / "docs").glob("*.md"))
 
 
 def module_map_violations():
@@ -57,8 +77,7 @@ def module_map_violations():
 def dead_link_violations():
     """Relative markdown links that resolve to nothing."""
     dead = []
-    pages = [REPO / "README.md"] + sorted((REPO / "docs").glob("*.md"))
-    for page in pages:
+    for page in _pages():
         for target in _LINK.findall(page.read_text()):
             if target.startswith(("http://", "https://", "mailto:", "#")):
                 continue
@@ -98,9 +117,60 @@ def bench_coverage_violations():
     return missing
 
 
+def _fenced_repro_commands(text):
+    """(line, arguments) of every ``python -m repro`` command in a
+    fenced block, with backslash continuations joined."""
+    inside = False
+    joined, start = "", None
+    for number, line in enumerate(text.splitlines(), start=1):
+        if line.lstrip().startswith(("```", "~~~")):
+            inside, joined = not inside, ""
+            continue
+        if not inside:
+            continue
+        if not joined:
+            start = number
+        joined += line.strip() + " "
+        if joined.endswith("\\ "):
+            joined = joined[:-2]
+            continue
+        command = _REPRO_COMMAND.match(joined)
+        joined = ""
+        if command:
+            yield start, _SHELL_TAIL.split(command.group(1), 1)[0]
+
+
+def cli_example_violations():
+    """Fenced ``python -m repro`` examples the CLI would reject."""
+    if str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))
+    from repro.cli import build_parser
+    from repro.cpu.models import CPU_CATALOG
+
+    parser = build_parser()
+    bad = []
+    for page in _pages():
+        for line, arguments in _fenced_repro_commands(page.read_text()):
+            where = "{}:{}".format(page.relative_to(REPO), line)
+            try:
+                with contextlib.redirect_stderr(io.StringIO()) as err:
+                    args = parser.parse_args(shlex.split(arguments))
+            except (SystemExit, ValueError):
+                reason = err.getvalue().strip().splitlines()
+                bad.append("{}: `repro{}` does not parse: {}".format(
+                    where, arguments.rstrip(),
+                    reason[-1] if reason else "unbalanced quotes"))
+                continue
+            cpu = getattr(args, "cpu", None)
+            if cpu is not None and cpu not in CPU_CATALOG:
+                bad.append("{}: --cpu {} is not a CPU catalog key".format(
+                    where, cpu))
+    return bad
+
+
 def main():
     violations = (module_map_violations() + dead_link_violations()
-                  + bench_coverage_violations())
+                  + bench_coverage_violations() + cli_example_violations())
     for violation in violations:
         print(violation)
     if violations:
