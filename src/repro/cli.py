@@ -595,6 +595,11 @@ def cmd_serve_status(args):
         print("watermark  : {} value={value} degraded_at="
               "{degraded_at} shedding_at={shedding_at} "
               "({direction})".format(name, **mark))
+    shards = sorted(((reply.get("breakers") or {}).get("shards") or {})
+                    .items(), key=lambda item: int(item[0]))
+    print("shards     : degraded={} streaks={}".format(
+        ",".join(i for i, s in shards if s["state"] == "open") or "none",
+        " ".join("{}:{}".format(i, s["failures"]) for i, s in shards)))
     queue = reply.get("queue") or {}
     print("queue      : {} admitted / {} max, {} on executor "
           "({} in flight)".format(
@@ -969,7 +974,7 @@ def build_parser():
                         "first, and higher priorities launch first "
                         "within a feed batch")
     p.add_argument("--retries", type=int, default=3,
-                   help="how many breaker/shed refusals to wait out "
+                   help="how many shed refusals to wait out "
                         "(honoring the server's retry_after_s hint) "
                         "before surfacing the rejection; 0 surfaces "
                         "immediately")

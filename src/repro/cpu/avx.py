@@ -77,10 +77,6 @@ class MaskedOpResult:
         self.value = value
         self.is_store = is_store
 
-    @property
-    def walked(self):
-        return self.walks > 0
-
 
 class AVXUnit:
     """Executes masked vector loads/stores against a core's MMU state.

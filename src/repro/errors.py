@@ -130,18 +130,6 @@ class JournalWriteError(CampaignError):
         super().__init__(message)
 
 
-class ShardError(CampaignError):
-    """A campaign shard (one fault domain) failed and was quarantined."""
-
-    def __init__(self, message, shard=None):
-        self.shard = shard
-        super().__init__(message)
-
-
-class WatchdogTimeout(CampaignError):
-    """A worker exceeded its per-unit wall-clock watchdog and was killed."""
-
-
 class ServeError(ReproError):
     """The attack-simulation service cannot accept or finish a request."""
 
@@ -176,10 +164,11 @@ class QuotaExceeded(ServeError):
 class Overloaded(ServeError):
     """The service shed this request to protect the work it already holds.
 
-    Raised when the bounded admission queue is full, when the circuit
-    breaker is open after backend failures, or when the server is
-    draining.  Like :class:`QuotaExceeded` this is a typed rejection:
-    nothing was admitted, and the client should back off for
+    Raised when the bounded admission queue is full, when the overload
+    governor sheds (a watermark, backend failures included, crossed its
+    level), or when the server is draining.  Like
+    :class:`QuotaExceeded` this is a typed rejection: nothing was
+    admitted, and the client should back off for
     ``retry_after_s`` (None means "after the drain completes").
     """
 

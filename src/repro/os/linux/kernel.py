@@ -267,10 +267,6 @@ class LinuxKernel:
         must *infer* them by size correlation."""
         return [(m.name, m.size_bytes) for m in self.modules]
 
-    def module_region(self, name):
-        """Ground truth (start, pages) of a loaded module."""
-        return self.module_map[name]
-
     def is_kernel_text_mapped(self, va):
         """Ground truth: does ``va`` hit the real kernel image?"""
         end = self.base + self.image_2m_pages * PAGE_SIZE_2M

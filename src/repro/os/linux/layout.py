@@ -65,8 +65,3 @@ def kernel_slot_of(base):
 def kernel_base_of_slot(slot):
     """Kernel base address of KASLR slot ``slot``."""
     return KERNEL_TEXT_START + slot * KERNEL_ALIGN
-
-
-def module_slot_of(address):
-    """Map a module-area address to its 4 KiB probe slot index."""
-    return (address - MODULE_START) // MODULE_ALIGN

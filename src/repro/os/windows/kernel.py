@@ -109,10 +109,6 @@ class WindowsKernel:
 
     # -- ground truth ---------------------------------------------------------
 
-    def is_kernel_mapped(self, va):
-        end = self.base + layout.KERNEL_IMAGE_2M_PAGES * PAGE_SIZE_2M
-        return self.base <= va < end
-
     def region_slots(self):
         """Slot indices occupied by the kernel image."""
         return list(range(self.slot, self.slot + layout.KERNEL_IMAGE_2M_PAGES))

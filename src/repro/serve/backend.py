@@ -30,7 +30,8 @@ Draining stops the feed (queued-but-admitted scenarios still finish:
 the client was told "accepted", so its work is in-flight from the
 contract's point of view), asks every live plan runner to drain, and
 joins the executor thread.  Everything the backend learns about
-failures feeds the :class:`~repro.serve.breaker.BreakerBoard`.
+failures feeds the :class:`~repro.serve.overload.BreakerBoard`, whose
+backend streak is one of the overload governor's watermarks.
 """
 
 import pathlib
@@ -45,9 +46,9 @@ from repro.campaign.runner import (
     _run_unit,
     outcome_result,
 )
-from repro.errors import ProtocolError, ReproError
+from repro.errors import ProtocolError
 from repro.ioutil import prune_stale_artifacts, write_json_atomic
-from repro.serve.breaker import BreakerBoard
+from repro.serve.overload import BreakerBoard
 from repro.serve.scheduler import FairShareScheduler
 
 #: terminal verdict statuses
@@ -292,14 +293,9 @@ class ServeBackend:
             and runner.journal.path.stat().st_size > 0
         try:
             report = runner.run(resume=resume)
-        except ReproError as error:
-            self.breakers.backend.record_failure()
-            sub.complete(FAILED, error=type(error).__name__,
-                         message=str(error))
-            return
         except Exception as error:  # noqa: BLE001 -- a plan thread must
             # end in a typed verdict, surprises included
-            self.breakers.backend.record_failure()
+            self.breakers.record_failure()
             sub.complete(FAILED, error=type(error).__name__,
                          message=str(error))
             return
@@ -328,8 +324,8 @@ class ServeBackend:
         """The persistent executor: one supervised pool fed off the queue.
 
         A pool that breaks hard (anything escaping ``run``) fails the
-        in-flight submissions with a typed verdict, trips the backend
-        breaker, and respawns -- the service outlives its executor.
+        in-flight submissions with a typed verdict, counts a backend
+        failure, and respawns -- the service outlives its executor.
         """
         while True:
             pool = SupervisedPool(
@@ -346,7 +342,7 @@ class ServeBackend:
                     on_finish=self._on_finish,
                 )
             except Exception as error:  # noqa: BLE001
-                self.breakers.backend.record_failure()
+                self.breakers.record_failure()
                 self._fail_in_flight(error)
                 if self._drain.is_set():
                     return
@@ -416,7 +412,7 @@ class ServeBackend:
             outcome.late = True
         result, degraded = outcome_result(unit_id, outcome)
         write_json_atomic(self.result_dir / (sub.rid + ".json"), result)
-        self.breakers.backend.record_success()
+        self.breakers.record_success()
         if degraded:
             sub.emit_event("degradation",
                            {"unit": unit_id, "reason": "deadline"})

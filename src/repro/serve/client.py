@@ -10,6 +10,9 @@ a load generator simply opens one connection per in-flight request
 Unsolicited messages (``draining`` broadcasts, events for other ids)
 are surfaced through the optional ``on_event`` callback and otherwise
 skipped, so a drain mid-stream never desynchronizes the client.
+Overload refusals (``shedding`` / ``degraded``, backend failures
+included) are waited out with jittered backoff; every other
+rejection surfaces at once.
 """
 
 import json
@@ -20,12 +23,12 @@ from repro.campaign.pool import seeded_jitter
 from repro.errors import ProtocolError, ServeError
 from repro.serve import protocol
 
-#: refusal reasons worth waiting out: breaker cooldowns and overload
-#: shedding are transient by design and carry a ``retry_after_s``
-#: hint.  ``queue-full``, ``draining`` and quota rejections are NOT
+#: refusal reasons worth waiting out: overload shedding (backend
+#: failures included) is transient by design and carries a
+#: ``retry_after_s`` hint.  ``queue-full``, ``draining`` and quota rejections are NOT
 #: here -- they reflect the caller's own standing (or the server's
 #: end of life) and must surface immediately.
-RETRYABLE_REASONS = ("circuit-open", "shedding", "degraded")
+RETRYABLE_REASONS = ("shedding", "degraded")
 
 #: default ceiling on one backoff sleep
 DEFAULT_MAX_BACKOFF_S = 30.0
@@ -34,7 +37,7 @@ DEFAULT_MAX_BACKOFF_S = 30.0
 class ServeClient:
     """One connection to a serve socket (Unix path or ``(host, port)``).
 
-    ``retries`` bounds how many breaker/shed refusals one
+    ``retries`` bounds how many shed refusals one
     :meth:`submit` waits out before surfacing the rejection; each wait
     honors the server's ``retry_after_s`` hint, stretched by the
     campaign's seeded jitter (reproducible per ``(seed, request_id,
@@ -143,7 +146,7 @@ class ServeClient:
         streamed ``event`` for this id.
 
         Rejections whose ``reason`` is in :data:`RETRYABLE_REASONS`
-        (breaker cooldowns, overload shedding) are waited out and
+        (overload shedding and degradation) are waited out and
         resubmitted up to ``self.retries`` times before being
         returned; every other rejection surfaces immediately.
         """

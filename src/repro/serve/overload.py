@@ -1,10 +1,11 @@
 """Watermark-based overload degradation for the serve admission ladder.
 
-Quotas bound each tenant and the breaker remembers *failures*, but
-neither notices the service simply filling up: a queue near its bound,
-a state directory running out of disk, an executor drowning in
-in-flight units.  The :class:`OverloadGovernor` watches those three
-**watermarks** and moves the service through a three-state ladder:
+Quotas bound each tenant, but they do not notice the service simply
+filling up -- a queue near its bound, a state directory running out of
+disk, an executor drowning in in-flight units -- or its backend
+failing over and over.  The :class:`OverloadGovernor` watches those
+four **watermarks** and moves the service through a three-state
+ladder, the one place admission sheds load:
 
 * **healthy** -- all watermarks below their degraded level; admit
   everything;
@@ -28,7 +29,8 @@ at the clients.
 Watermarks are :class:`Watermark` objects wrapping an injectable probe
 callable, so tests drive transitions with plain numbers and the server
 wires real probes (admitted-queue fraction, ``shutil.disk_usage`` on
-the state directory, executor backlog depth).  The governor itself
+the state directory, executor backlog depth, and the backend failure
+streak kept by the :class:`BreakerBoard`).  The governor itself
 is clock-injectable and lock-free to *read* -- ``evaluate()`` is
 called on every admission, so it must stay cheap.
 """
@@ -116,6 +118,89 @@ def disk_free_mb_probe(directory):
     def probe():
         return shutil.disk_usage(str(directory)).free / (1024.0 * 1024.0)
     return probe
+
+
+class BreakerBoard:
+    """The backend's failure memory: one backend streak + shard streaks.
+
+    ``backend_failures`` counts consecutive wholesale backend failures
+    (every shard of a plan died, a plan thread raised, the executor
+    pool broke); any success resets it.  :meth:`backend_pressure` is
+    the ``backend`` watermark's probe: the streak while the last
+    failure is younger than ``cooldown_s``, 0 after.  The streak itself
+    outlives the cooldown, so once the governor relaxes, the next
+    failure sheds again at once -- and requests admitted before the
+    first result may still meet a dead backend, bounded by the
+    ``queue`` and ``inflight`` watermarks.
+
+    ``streaks`` maps each shard index to its consecutive failures since
+    the shard last finished ``done``.  A shard never sheds -- the
+    fabric's survivors still absorb its units -- so a shard whose
+    streak reached ``failure_threshold`` only marks admissions
+    degraded, however long ago it tripped.  ``clock`` is injectable
+    for tests (defaults to ``time.monotonic``).
+    """
+
+    def __init__(self, shards, failure_threshold=3, cooldown_s=30.0,
+                 clock=None):
+        self.failure_threshold = max(1, int(failure_threshold))
+        self.cooldown_s = float(cooldown_s)
+        self._clock = clock or time.monotonic
+        self._lock = threading.Lock()
+        self.backend_failures = 0
+        self.last_failure_at = None
+        self.streaks = {index: 0 for index in range(max(1, shards))}
+
+    def record_failure(self):
+        with self._lock:
+            self.backend_failures += 1
+            self.last_failure_at = self._clock()
+
+    def record_success(self):
+        with self._lock:
+            self.backend_failures = 0
+
+    def backend_pressure(self):
+        """The backend streak while its last failure is fresh, else 0."""
+        with self._lock:
+            if self.last_failure_at is None or \
+                    self._clock() - self.last_failure_at >= self.cooldown_s:
+                return 0
+            return self.backend_failures
+
+    def record_report(self, report):
+        """Fold one CampaignReport into the shard and backend streaks."""
+        failures = report.shard_failures
+        states = report.shard_states
+        with self._lock:
+            for index in self.streaks:
+                if index in failures:
+                    self.streaks[index] += 1
+                elif states.get(index) == "done":
+                    self.streaks[index] = 0
+        if failures and len(failures) == len(states):
+            # every shard died: that is a backend failure, not a degrade
+            self.record_failure()
+        else:
+            self.record_success()
+
+    def degraded_shards(self):
+        """Shard indexes whose failure streak reached the threshold."""
+        with self._lock:
+            return sorted(index for index, streak in self.streaks.items()
+                          if streak >= self.failure_threshold)
+
+    def as_dict(self):
+        with self._lock:
+            shards = {
+                str(index): {
+                    "state": "open" if streak >= self.failure_threshold
+                    else "closed",
+                    "failures": streak,
+                }
+                for index, streak in sorted(self.streaks.items())
+            }
+        return {"shards": shards}
 
 
 class OverloadGovernor:
@@ -218,9 +303,13 @@ def default_governor(server):
       scales with the deployment's ``--jobs``, not the admission
       config -- a small executor behind a generous ``max_queue``
       degrades here long before the global bound notices;
-    * ``disk_free_mb`` -- free space on the state directory's volume.
+    * ``disk_free_mb`` -- free space on the state directory's volume;
+    * ``backend`` -- the backend failure streak while its last failure
+      is inside the board's cooldown: ``failure_threshold`` consecutive
+      failures shed everything.
     """
     backend = server.backend
+    board = backend.breakers
     backlog_cap = 8.0 * max(1, backend.jobs)
     return OverloadGovernor([
         Watermark("queue",
@@ -233,4 +322,7 @@ def default_governor(server):
                   disk_free_mb_probe(backend.state_dir),
                   degraded_at=256.0, shedding_at=64.0,
                   direction="below"),
+        Watermark("backend", board.backend_pressure,
+                  degraded_at=board.failure_threshold,
+                  shedding_at=board.failure_threshold),
     ])

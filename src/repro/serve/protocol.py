@@ -18,7 +18,8 @@ Client -> server message types:
   one feed batch higher priorities launch first);
 * ``health``  -- liveness/readiness probe (allowed before ``hello``);
 * ``status``  -- deep introspection: scheduler fairness evidence,
-  overload watermark readings, breakers (allowed before ``hello``);
+  overload watermark readings, shard failure streaks (allowed
+  before ``hello``);
 * ``drain``   -- ask the server to drain gracefully (supervision);
 * ``bye``     -- close the session.
 
@@ -94,7 +95,7 @@ def parse_line(line):
 def validate_client(message):
     """Validate a client message's shape; returns the message.
 
-    Shape only -- admission (quota, queue room, breaker state) is the
+    Shape only -- admission (quota, queue room, overload state) is the
     server's call.  Raises :class:`ProtocolError` on anything a
     conforming client would never send.
     """

@@ -9,20 +9,19 @@ order:
 
 1. a **draining** server admits nothing (typed ``Overloaded``,
    ``reason="draining"``);
-2. the **global circuit breaker** sheds wholesale
-   (``reason="circuit-open"``, with ``retry_after_s`` from the
-   cooldown); a shard whose failure streak tripped never sheds -- it
-   marks the admission *degraded*, because the fabric's survivors
-   still absorb a quarantined shard's units;
-3. the **overload governor** (:mod:`repro.serve.overload`) reads its
-   watermarks: ``shedding`` refuses everything
+2. the **overload governor** (:mod:`repro.serve.overload`) reads its
+   watermarks -- queue, executor backlog, disk, and the backend
+   failure streak: ``shedding`` refuses everything
    (``reason="shedding"``), ``degraded`` refuses sub-floor-priority
    work (``reason="degraded"``) and stamps what it still admits with
    an ``overload`` degrade mark, carried on the accepted/verdict
-   messages (never into the persisted result store);
-4. the **global queue bound** rejects what would overcommit the
+   messages (never into the persisted result store).  A shard whose
+   failure streak tripped never sheds -- it marks the admission
+   *degraded*, because the fabric's survivors still absorb a
+   quarantined shard's units;
+3. the **global queue bound** rejects what would overcommit the
    service (``reason="queue-full"``);
-5. the **tenant quota** rejects what would overcommit the tenant
+4. the **tenant quota** rejects what would overcommit the tenant
    (typed ``QuotaExceeded`` with the exhausted dimension).
 
 Admitted work is ordered by the backend's per-tenant fair-share
@@ -388,22 +387,16 @@ class ServeServer:
     def admit(self, tenant, units, deadline_s=None, priority=1):
         """Run the full admission ladder; returns the effective deadline.
 
-        Raises :class:`Overloaded` (draining / circuit-open / shedding
-        / degraded / queue-full) or :class:`QuotaExceeded` -- always
-        typed, always before any state changes the caller would have
-        to undo.  The overload governor sits between the breaker and
-        the queue bound: **shedding** refuses everything, **degraded**
+        Raises :class:`Overloaded` (draining / shedding / degraded /
+        queue-full) or :class:`QuotaExceeded` -- always typed, always
+        before any state changes the caller would have to undo.  The
+        overload governor sits between the drain check and the queue
+        bound: **shedding** refuses everything, **degraded**
         refuses only work whose ``priority`` is below the floor
         (:data:`repro.serve.overload.DEGRADED_PRIORITY_FLOOR`).
         """
         if self._draining.is_set():
             raise Overloaded("server is draining", reason="draining")
-        if not self.breakers.backend.allow():
-            raise Overloaded(
-                "backend circuit breaker is open",
-                reason="circuit-open",
-                retry_after_s=round(self.breakers.backend.retry_after_s(), 3),
-            )
         state = self.governor.evaluate()
         if state == overload.SHEDDING:
             self.governor.note_shed(state)
@@ -581,7 +574,7 @@ class ServeServer:
         Everything an operator needs to answer "who is the service
         actually serving, and under what pressure": the scheduler's
         per-tenant fairness evidence, the overload governor's
-        watermark readings, and the breaker board.
+        watermark readings, and the shard failure streaks.
         """
         with self._admit_lock:
             admitted = self._units_admitted

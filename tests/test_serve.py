@@ -1,4 +1,4 @@
-"""The multi-tenant serve layer: protocol, quotas, breakers, service.
+"""The multi-tenant serve layer: protocol, quotas, failure streaks, service.
 
 The integration tests drive a real server over a real Unix socket --
 admission rejections, streamed events, graceful drain, and the load-
@@ -31,12 +31,12 @@ from repro.errors import (
 )
 from repro.ioutil import prune_stale_artifacts
 from repro.serve import protocol
-from repro.serve.breaker import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
+from repro.serve.overload import (
+    HEALTHY,
+    SHEDDING,
     BreakerBoard,
-    CircuitBreaker,
+    OverloadGovernor,
+    Watermark,
 )
 from repro.serve.client import ServeClient
 from repro.serve.quota import QuotaLedger, TenantQuota, load_tenant_quotas
@@ -181,42 +181,59 @@ class TestQuota:
         assert tenants["noisy"].max_requests == 1
 
 
-# -- circuit breakers ----------------------------------------------------------
+# -- backend and shard failure streaks -----------------------------------------
+
+
+def _backend_ladder(cooldown_s=10.0, hold_s=2.0):
+    """A board and a governor watching only its backend streak, on one
+    fake clock -- the ``backend`` watermark of ``default_governor``."""
+    clock = [0.0]
+    board = BreakerBoard(2, failure_threshold=3, cooldown_s=cooldown_s,
+                         clock=lambda: clock[0])
+    governor = OverloadGovernor(
+        [Watermark("backend", board.backend_pressure,
+                   degraded_at=board.failure_threshold,
+                   shedding_at=board.failure_threshold)],
+        hold_s=hold_s, clock=lambda: clock[0])
+    return clock, board, governor
 
 
 class TestCircuitBreaker:
-    def test_trips_after_threshold_and_sheds(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(failure_threshold=3, cooldown_s=10.0,
-                                 clock=lambda: clock[0])
+    def test_backend_streak_sheds_at_threshold(self):
+        __, board, governor = _backend_ladder()
         for __ in range(2):
-            breaker.record_failure()
-        assert breaker.state == CLOSED and breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == OPEN and not breaker.allow()
-        assert breaker.retry_after_s() == pytest.approx(10.0)
+            board.record_failure()
+        assert governor.evaluate() == HEALTHY
+        board.record_failure()
+        assert board.backend_pressure() == 3
+        assert governor.evaluate() == SHEDDING
+        assert governor.retry_after_s(SHEDDING) > 0
 
-    def test_half_open_admits_one_probe(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=5.0,
-                                 clock=lambda: clock[0])
-        breaker.record_failure()
-        clock[0] = 6.0
-        assert breaker.state == HALF_OPEN
-        assert breaker.allow()
-        assert not breaker.allow()  # only one probe
-        breaker.record_success()
-        assert breaker.state == CLOSED and breaker.allow()
+    def test_readmits_after_cooldown_and_hold_then_resheds(self):
+        clock, board, governor = _backend_ladder()
+        for __ in range(3):
+            board.record_failure()
+        assert governor.evaluate() == SHEDDING
+        clock[0] = 10.0  # cooldown over: pressure gone, hold starts
+        assert board.backend_pressure() == 0
+        assert governor.evaluate() == SHEDDING
+        clock[0] = 12.0  # hold over
+        assert governor.evaluate() == HEALTHY
+        # no success yet: the streak stands, so one more failure
+        # sheds at once
+        assert board.backend_failures == 3
+        board.record_failure()
+        assert governor.evaluate() == SHEDDING
 
-    def test_half_open_failure_reopens(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=5.0,
-                                 clock=lambda: clock[0])
-        breaker.record_failure()
-        clock[0] = 6.0
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == OPEN
+    def test_success_resets_the_backend_streak(self):
+        __, board, governor = _backend_ladder()
+        for __ in range(2):
+            board.record_failure()
+        board.record_success()
+        assert board.backend_failures == 0
+        board.record_failure()
+        assert board.backend_pressure() == 1
+        assert governor.evaluate() == HEALTHY
 
     def test_board_folds_reports(self):
         board = BreakerBoard(2, failure_threshold=1)
@@ -228,10 +245,10 @@ class TestCircuitBreaker:
         board.record_report(Report())
         assert board.streaks == {0: 0, 1: 1}
         assert board.degraded_shards() == [1]
-        assert board.backend.state == CLOSED
+        assert board.backend_failures == 0
         assert board.as_dict()["shards"] == {
-            "0": {"state": CLOSED, "failures": 0},
-            "1": {"state": OPEN, "failures": 1},
+            "0": {"state": "closed", "failures": 0},
+            "1": {"state": "open", "failures": 1},
         }
 
         class Wipeout:
@@ -240,7 +257,8 @@ class TestCircuitBreaker:
 
         board.record_report(Wipeout())
         assert board.streaks == {0: 1, 1: 2}
-        assert board.backend.state == OPEN
+        assert board.backend_failures == 1
+        assert board.backend_pressure() == 1
 
     def test_tripped_shard_stays_degraded_until_done(self):
         clock = [0.0]
@@ -264,7 +282,7 @@ class TestCircuitBreaker:
         for elapsed in (4.0, 6.0, 60.0, 3600.0):
             clock[0] = elapsed
             assert board.degraded_shards() == [1]
-            assert board.as_dict()["shards"]["1"]["state"] == OPEN
+            assert board.as_dict()["shards"]["1"]["state"] == "open"
         board.record_report(Healed())
         assert board.degraded_shards() == []
         assert board.streaks == {0: 0, 1: 0}
@@ -426,15 +444,32 @@ class TestServeService:
         finally:
             server.drain(timeout=60.0)
 
-    def test_circuit_open_sheds_with_retry_after(self, tmp_path):
+    def test_backend_failures_shed_with_retry_after(self, tmp_path):
         server = _start_server(tmp_path)
         try:
             for __ in range(3):
-                server.breakers.backend.record_failure()
+                server.breakers.record_failure()
             with pytest.raises(Overloaded) as excinfo:
                 server.admit("alice", 1)
-            assert excinfo.value.reason == "circuit-open"
+            assert excinfo.value.reason == "shedding"
             assert excinfo.value.retry_after_s > 0
+            # the one ladder: health and the shed counters see it too
+            assert server.health()["status"] == "shedding"
+            assert server.governor.snapshot()["sheds"][SHEDDING] == 1
+            # past the cooldown and the hold, admission resumes
+            server.breakers.cooldown_s = 0.05
+            server.governor.hold_s = 0.05
+            deadline = time.monotonic() + 10.0
+            while server.governor.evaluate() != HEALTHY:
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+            server.admit("alice", 1)
+            server.release("alice", 1)
+            # the streak stands until a unit succeeds
+            server.breakers.record_failure()
+            with pytest.raises(Overloaded) as excinfo:
+                server.admit("alice", 1)
+            assert excinfo.value.reason == "shedding"
         finally:
             server.drain(timeout=60.0)
 
@@ -596,6 +631,35 @@ class TestServeCLI:
         thread.join(timeout=60.0)
         assert not thread.is_alive()
         assert codes["serve"] == 0
+
+    def test_serve_status_prints_watermarks_and_shards(self, tmp_path,
+                                                       capsys):
+        server = _start_server(tmp_path)
+        try:
+            class Report:
+                shard_states = {0: "done", 1: "dead"}
+                shard_failures = {1: "CampaignError: disk died"}
+
+            for __ in range(3):
+                server.breakers.record_report(Report())
+            code = main(["serve", "status", "--socket", server.address])
+            out = capsys.readouterr().out
+            assert code == 0
+            lines = out.splitlines()
+            assert any(line.startswith("watermark  : backend ")
+                       for line in lines)
+            assert "shards     : degraded=1 streaks=0:0 1:3" in lines
+            code = main(["serve", "status", "--socket", server.address,
+                         "--json"])
+            status = json.loads(capsys.readouterr().out)
+            assert code == 0
+            assert "backend" in status["overload"]["watermarks"]
+            assert status["breakers"] == {"shards": {
+                "0": {"state": "closed", "failures": 0},
+                "1": {"state": "open", "failures": 3},
+            }}
+        finally:
+            server.drain(timeout=60.0)
 
     def test_serve_needs_an_address(self, capsys):
         code = main(["serve", "--state", "unused"])

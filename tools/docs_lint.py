@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs lint: the module map must be complete, intra-doc links alive.
 
-Four checks, all cheap enough for every CI run:
+Five checks, all cheap enough for every CI run:
 
 * **module-map completeness** -- every module file under ``src/repro/``
   (``__init__.py`` / ``__main__.py`` excepted; they re-export and
@@ -22,6 +22,10 @@ Four checks, all cheap enough for every CI run:
   ``repro.cli.build_parser()`` (``\\`` continuations joined, trailing
   ``#`` comments, pipes and redirections dropped), and any ``--cpu``
   value must be a ``CPU_CATALOG`` key.
+* **no stale module paths** -- every ``repro/...py`` path named in
+  ``README.md``, ``DESIGN.md`` or ``docs/*.md`` must exist under
+  ``src/``.  Deleting or renaming a module without updating the prose
+  that names it fails the build.
 
 Exit status 0 when clean, 1 with one line per violation otherwise.
 """
@@ -53,6 +57,9 @@ _REPRO_COMMAND = re.compile(r"^(?:\$\s+)?(?:\w+=\S*\s+)*python -m repro\b(.*)")
 #: where a shell line's repro arguments end: a comment, pipe,
 #: redirection, background marker or command separator
 _SHELL_TAIL = re.compile(r"\s(?:#|\||[0-9]?>|&|;)")
+
+#: a module path as the prose names it
+_MODULE_PATH = re.compile(r"\brepro/[\w/]+\.py\b")
 
 
 def _pages():
@@ -168,9 +175,22 @@ def cli_example_violations():
     return bad
 
 
+def stale_path_violations():
+    """``repro/...py`` paths in the prose that name no module file."""
+    stale = []
+    for page in [REPO / "DESIGN.md"] + _pages():
+        for number, line in enumerate(page.read_text().splitlines(), 1):
+            for name in _MODULE_PATH.findall(line):
+                if not (SRC / name).is_file():
+                    stale.append("{}:{}: no such module {}".format(
+                        page.relative_to(REPO), number, name))
+    return stale
+
+
 def main():
     violations = (module_map_violations() + dead_link_violations()
-                  + bench_coverage_violations() + cli_example_violations())
+                  + bench_coverage_violations() + cli_example_violations()
+                  + stale_path_violations())
     for violation in violations:
         print(violation)
     if violations:
