@@ -89,11 +89,15 @@ _SIZE_OF_LEVEL_ARR = np.array(
 _LEVEL_SHIFTS_U64 = tuple(np.uint64(s) for s in (39, 30, 21, 12))
 _INDEX_MASK_U64 = np.uint64(0x1FF)
 
-#: per-node column cache: node_id -> (mutation generation, _NodeArrays).
-#: node ids are globally unique and never reused, so a stale hit is
-#: impossible; the generation tag drops columns when any table mutates.
+#: per-node column cache: node_id -> _NodeArrays, all filled under
+#: :data:`_node_cache_generation`.  node ids are globally unique and never
+#: reused, so a stale hit is impossible.  Any page-table mutation moves
+#: the generation and outdates every entry at once, so the cache is
+#: emptied then: it never keeps the columns (and, through their
+#: children, whole subtrees) of tables that are long gone.
 _NODE_CACHE = {}
 _NODE_CACHE_MAX = 8192
+_node_cache_generation = None
 
 
 class _Ineligible(Exception):
@@ -132,14 +136,16 @@ class _NodeArrays:
 
 
 def _node_arrays(node):
-    generation = _pagetable._mutation_generation
-    cached = _NODE_CACHE.get(node.node_id)
-    if cached is not None and cached[0] == generation:
-        return cached[1]
-    arrays = _NodeArrays(node)
-    if len(_NODE_CACHE) >= _NODE_CACHE_MAX:
+    global _node_cache_generation
+    if _node_cache_generation != _pagetable._mutation_generation:
         _NODE_CACHE.clear()
-    _NODE_CACHE[node.node_id] = (generation, arrays)
+        _node_cache_generation = _pagetable._mutation_generation
+    arrays = _NODE_CACHE.get(node.node_id)
+    if arrays is None:
+        arrays = _NodeArrays(node)
+        if len(_NODE_CACHE) >= _NODE_CACHE_MAX:
+            _NODE_CACHE.clear()
+        _NODE_CACHE[node.node_id] = arrays
     return arrays
 
 

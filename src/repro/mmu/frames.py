@@ -15,12 +15,15 @@ class FrameAllocator:
 
     Frames are never reused after :meth:`free`; this keeps stale TLB/PSC
     entries harmless in tests and mirrors how the attacks never rely on
-    frame reuse.
+    frame reuse.  Because allocation only advances a cursor, the
+    allocated frames are the run ``[first_pfn, cursor)`` minus the
+    frames freed since; nothing is recorded per frame on :meth:`alloc`.
     """
 
     def __init__(self, first_pfn=0x100):
+        self._first_pfn = first_pfn
         self._next_pfn = first_pfn
-        self._allocated = set()
+        self._freed = set()
 
     def alloc(self, count=1):
         """Allocate ``count`` consecutive frames, returning the first PFN."""
@@ -28,22 +31,25 @@ class FrameAllocator:
             raise MappingError("cannot allocate {} frames".format(count))
         pfn = self._next_pfn
         self._next_pfn += count
-        for i in range(count):
-            self._allocated.add(pfn + i)
         return pfn
 
     def free(self, pfn, count=1):
-        """Release ``count`` frames starting at ``pfn``."""
-        for i in range(count):
-            self._allocated.discard(pfn + i)
+        """Release ``count`` frames starting at ``pfn``.
+
+        Frames that were never allocated are ignored.
+        """
+        self._freed.update(range(
+            max(pfn, self._first_pfn), min(pfn + count, self._next_pfn)
+        ))
 
     def is_allocated(self, pfn):
         """Return True if ``pfn`` is currently allocated."""
-        return pfn in self._allocated
+        return self._first_pfn <= pfn < self._next_pfn \
+            and pfn not in self._freed
 
     @property
     def allocated_count(self):
-        return len(self._allocated)
+        return self._next_pfn - self._first_pfn - len(self._freed)
 
 
 class PhysicalMemory:

@@ -14,15 +14,17 @@ whether a walk's memory accesses hit the data cache (hot) or go to DRAM
 
 import itertools
 
-from repro.errors import MappingError
+from repro.errors import AddressError, MappingError
 from repro.mmu.frames import FrameAllocator, PhysicalMemory
 from repro.mmu.address import (
     LEVEL_NAMES,
+    PAGE_SHIFT,
     PAGE_SIZE,
     PAGE_SIZE_1G,
     PAGE_SIZE_2M,
     check_canonical,
     is_aligned,
+    is_user_address,
     split_indices,
 )
 from repro.mmu.flags import PageFlags
@@ -147,8 +149,9 @@ class PageTable:
     Repeated structural lookups of the same VA are memoized in a
     generation-tagged cache: probe sweeps hit the same addresses over and
     over, and the radix traversal dominates their cost.  Any mutation
-    (``map``/``unmap``/``protect``/flag updates/top-level sharing) bumps
-    the global generation, which drops every table's cached lookups.
+    (``map``/``map_run``/``unmap``/``protect``/flag updates/top-level
+    sharing) bumps the global generation, which drops every table's
+    cached lookups.
     """
 
     def __init__(self):
@@ -185,6 +188,57 @@ class PageTable:
             flags |= PageFlags.HUGE
         node.entries[index] = Entry(flags=flags, pfn=pfn)
         _bump_generation()
+
+    def map_run(self, va, pfn, count, flags):
+        """Map ``count`` 4 KiB pages at ``va`` to the frames from ``pfn`` on.
+
+        Builds the same tree as ``count`` calls of :meth:`map` over
+        ascending VAs and PFNs (directories are created in the same
+        order, so node ids match), but walks from the PML4 once per PT
+        node the run crosses and fills that node's contiguous PTEs
+        directly.  A PT node is checked for overlaps before any of its
+        PTEs is written.  The mutation generation moves once per run.
+        """
+        va = check_canonical(va)
+        if count < 1:
+            raise MappingError("cannot map {} pages".format(count))
+        if not is_aligned(va, PAGE_SIZE):
+            raise MappingError(
+                "va {:#x} not aligned to page size {:#x}".format(va, PAGE_SIZE)
+            )
+        if not flags & PageFlags.PRESENT:
+            raise MappingError("terminal mappings must be PRESENT")
+        last = va + (count - 1) * PAGE_SIZE
+        if check_canonical(last) != last \
+                or is_user_address(va) != is_user_address(last):
+            raise AddressError(
+                "run {:#x}..{:#x} leaves the canonical half".format(va, last)
+            )
+        # bumped up front: nothing looks up a table while the run fills
+        # it, and a run that fails part-way has still mutated
+        _bump_generation()
+        vpn = va >> PAGE_SHIFT
+        end = vpn + count
+        root = self.root
+        while vpn < end:
+            pml4, pdpt, pd, first = split_indices(vpn << PAGE_SHIFT)
+            node = root.ensure_child(pml4).ensure_child(pdpt) \
+                .ensure_child(pd)
+            entries = node.entries
+            slots = range(first, min(512, first + end - vpn))
+            if entries and not entries.keys().isdisjoint(slots):
+                for index in slots:
+                    existing = entries.get(index)
+                    if existing is not None \
+                            and existing.flags & PageFlags.PRESENT:
+                        raise MappingError("va {:#x} already mapped".format(
+                            (vpn + index - first) << PAGE_SHIFT
+                        ))
+            entries.update(zip(slots, map(
+                Entry, itertools.repeat(flags), range(pfn, pfn + len(slots))
+            )))
+            pfn += len(slots)
+            vpn += len(slots)
 
     def unmap(self, va):
         """Remove the terminal mapping covering ``va``.
@@ -338,6 +392,9 @@ class AddressSpace:
         count = size // page_size
         frames_per_page = page_size // PAGE_SIZE
         first = self.frames.alloc(count * frames_per_page)
+        if page_size == PAGE_SIZE:
+            self.page_table.map_run(va, first, count, flags)
+            return first
         for i in range(count):
             self.page_table.map(
                 va + i * page_size,

@@ -173,10 +173,12 @@ class LinuxKernel:
         cursor = self.policy.module_area_start(total_pages)
         for module in self.modules:
             text_pages = max(1, (module.pages * 3) // 5)
-            for i in range(module.pages):
-                flags = _KTEXT if i < text_pages else _KDATA
+            self.kernel_space.map_range(cursor, text_pages * PAGE_SIZE, _KTEXT)
+            data_pages = module.pages - text_pages
+            if data_pages:
                 self.kernel_space.map_range(
-                    cursor + i * PAGE_SIZE, PAGE_SIZE, flags
+                    cursor + text_pages * PAGE_SIZE, data_pages * PAGE_SIZE,
+                    _KDATA,
                 )
             self.module_map[module.name] = (cursor, module.pages)
             cursor += (module.pages + self.policy.intermodule_gap_pages()) \
@@ -205,11 +207,15 @@ class LinuxKernel:
                     va, PAGE_SIZE_2M, _KTEXT, page_size=PAGE_SIZE_2M
                 )
                 self.flare_dummy_slots.append(slot)
-        # module window dummies (4 KiB grain)
-        for slot in range(layout.MODULE_SLOTS):
-            va = layout.MODULE_START + slot * PAGE_SIZE
-            if self.kernel_space.translate(va) is None:
-                self.kernel_space.map_range(va, PAGE_SIZE, _KTEXT)
+        # module window dummies (4 KiB grain): one run per gap between
+        # the loaded modules, which are all the window holds so far
+        va = layout.MODULE_START
+        for start, pages in sorted(self.module_map.values()):
+            if start > va:
+                self.kernel_space.map_range(va, start - va, _KTEXT)
+            va = start + pages * PAGE_SIZE
+        if va < layout.MODULE_END:
+            self.kernel_space.map_range(va, layout.MODULE_END - va, _KTEXT)
 
     def rerandomize(self):
         """Mid-run KASLR re-randomization: move the image to a fresh base.

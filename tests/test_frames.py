@@ -41,6 +41,38 @@ class TestFrameAllocator:
         allocator.alloc(3)
         assert allocator.allocated_count == 3
 
+    def test_partial_free_of_a_run(self):
+        allocator = FrameAllocator()
+        first = allocator.alloc(512)
+        allocator.free(first + 100, 12)
+        allocator.free(first + 105)  # already free: no double count
+        assert allocator.allocated_count == 500
+        assert allocator.is_allocated(first + 99)
+        assert not allocator.is_allocated(first + 100)
+        assert not allocator.is_allocated(first + 111)
+        assert allocator.is_allocated(first + 112)
+        assert allocator.is_allocated(first + 511)
+
+    def test_outside_the_run_is_not_allocated(self):
+        allocator = FrameAllocator(first_pfn=0x100)
+        first = allocator.alloc(8)
+        assert first == 0x100
+        assert not allocator.is_allocated(0xFF)
+        assert not allocator.is_allocated(first + 8)
+        assert not allocator.is_allocated(first + 1000)
+        assert allocator.alloc() == first + 8
+
+    def test_free_of_never_allocated_frame_is_ignored(self):
+        allocator = FrameAllocator(first_pfn=0x100)
+        first = allocator.alloc(4)
+        allocator.free(0x10, 8)
+        allocator.free(first + 4, 2)
+        allocator.free(first + 2, 10)  # straddles the cursor
+        assert allocator.allocated_count == 2
+        allocator.alloc(2)
+        assert allocator.allocated_count == 4
+        assert allocator.is_allocated(first + 4)
+
 
 class TestPhysicalMemory:
     def test_untouched_reads_zero(self):

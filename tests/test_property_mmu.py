@@ -1,7 +1,10 @@
 """Property-based tests (hypothesis) for the MMU substrate invariants."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from repro.errors import AddressError, MappingError
 
 from repro.mmu.address import (
     PAGE_SIZE,
@@ -12,7 +15,7 @@ from repro.mmu.address import (
     split_indices,
 )
 from repro.mmu.flags import PageFlags, flags_from_prot
-from repro.mmu.pagetable import PageTable
+from repro.mmu.pagetable import AddressSpace, PageTable
 from repro.mmu.psc import PagingStructureCache
 from repro.mmu.tlb import TLB, TLBEntry
 
@@ -175,3 +178,125 @@ class TestPSCProperties:
         for i in range(10):
             psc.fill((index, i, 0, 0), 1, node_id=i)
         assert psc.occupancy()[1] <= 2
+
+
+#: a run starts ``back`` pages below a 1 GiB boundary (the edge of a PD
+#: node, and every 512th one the edge of a PDPT node), so long runs cross
+#: PT-node and PD-node edges
+gib_edges = st.one_of(
+    st.integers(min_value=1, max_value=(1 << 17) - 1),
+    st.sampled_from([512, 1024, (1 << 17) - 512]),
+).map(lambda gib: gib << 30)
+run_pages = st.integers(min_value=1, max_value=1100)
+back_pages = st.integers(min_value=0, max_value=1100)
+#: pre-existing leaves, as page offsets from the run start
+prior_offsets = st.lists(
+    st.integers(min_value=-600, max_value=1700), max_size=8, unique=True
+)
+
+
+def _leaves(table):
+    return [(va, entry.pfn, int(entry.flags), size)
+            for va, entry, size in table.iter_terminal()]
+
+
+def _shape(table):
+    root_id = table.root.node_id
+    shape = []
+
+    def walk(node, path):
+        shape.append((path, node.level, node.node_id - root_id))
+        for index, entry in sorted(node.entries.items()):
+            if entry.child is not None:
+                walk(entry.child, path + (index,))
+
+    walk(table.root, ())
+    return shape
+
+
+def _lookup_record(table, va):
+    lookup = table.lookup(va)
+    root_id = table.root.node_id
+    translation = lookup.translation
+    return (
+        lookup.terminal_level,
+        [(level, node_id - root_id) for level, node_id in lookup.nodes],
+        None if translation is None else (
+            translation.pfn, int(translation.flags), translation.page_size
+        ),
+    )
+
+
+class TestMapRunProperties:
+    """One ``map_range`` equals per-page ``PageTable.map`` over its frames."""
+
+    @given(gib_edges, back_pages, run_pages, prior_offsets)
+    @settings(max_examples=60, deadline=None)
+    def test_run_equals_per_page_loop(self, edge, back, count, prior):
+        start = edge - back * PAGE_SIZE
+        flags = flags_from_prot(read=True, write=True)
+        prior_flags = flags_from_prot(read=True)
+        # each table is built whole before the next, so node ids
+        # relative to the root compare
+        space = AddressSpace()
+        for offset in prior:
+            space.page_table.map(start + offset * PAGE_SIZE, 7, prior_flags)
+        if any(0 <= offset < count for offset in prior):
+            with pytest.raises(MappingError):
+                space.map_range(start, count * PAGE_SIZE, flags)
+            return
+        first = space.map_range(start, count * PAGE_SIZE, flags)
+        loop = PageTable()
+        for offset in prior:
+            loop.map(start + offset * PAGE_SIZE, 7, prior_flags)
+        for i in range(count):
+            loop.map(start + i * PAGE_SIZE, first + i, flags)
+
+        table = space.page_table
+        assert _leaves(table) == _leaves(loop)
+        assert _shape(table) == _shape(loop)
+        probes = {start - PAGE_SIZE, start, edge, edge - PAGE_SIZE,
+                  start + (count - 1) * PAGE_SIZE, start + count * PAGE_SIZE}
+        probes.update(start + offset * PAGE_SIZE for offset in prior)
+        for va in sorted(probes):
+            assert _lookup_record(table, va) == _lookup_record(loop, va)
+
+    @given(gib_edges, back_pages, run_pages)
+    @settings(max_examples=40, deadline=None)
+    def test_huge_leaf_in_the_way_raises(self, edge, back, count):
+        start = edge - back * PAGE_SIZE
+        end = start + count * PAGE_SIZE
+        space = AddressSpace()
+        # a 2 MiB leaf over the 2 MiB frame holding the run's last page
+        huge = page_align_down(end - PAGE_SIZE, PAGE_SIZE_2M)
+        space.page_table.map(huge, 0x1000, PageFlags.PRESENT, PAGE_SIZE_2M)
+        with pytest.raises(MappingError):
+            space.map_range(start, count * PAGE_SIZE, PageFlags.PRESENT)
+
+    @given(gib_edges, back_pages, run_pages)
+    @settings(max_examples=30, deadline=None)
+    def test_cached_lookup_invalidated_by_run(self, edge, back, count):
+        start = edge - back * PAGE_SIZE
+        space = AddressSpace()
+        last = start + (count - 1) * PAGE_SIZE
+        assert not space.page_table.lookup(start).present
+        assert not space.page_table.lookup(last).present
+        first = space.map_range(start, count * PAGE_SIZE, PageFlags.PRESENT)
+        assert space.page_table.lookup(start).translation.pfn == first
+        assert space.page_table.lookup(last).translation.pfn \
+            == first + count - 1
+
+    def test_invalid_runs_rejected(self):
+        table = PageTable()
+        with pytest.raises(MappingError):
+            table.map_run(0x1000, 1, 2, PageFlags.NONE)
+        with pytest.raises(MappingError):
+            table.map_run(0x1800, 1, 2, PageFlags.PRESENT)
+        with pytest.raises(MappingError):
+            table.map_run(0x1000, 1, 0, PageFlags.PRESENT)
+        with pytest.raises(AddressError):
+            table.map_run(0x0000_8000_0000_0000, 1, 1, PageFlags.PRESENT)
+        # a run off the top of the user half would cross the hole
+        with pytest.raises(AddressError):
+            table.map_run(0x0000_7FFF_FFFF_F000, 1, 2, PageFlags.PRESENT)
+        assert list(table.iter_terminal()) == []
