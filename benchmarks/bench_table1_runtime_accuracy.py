@@ -9,9 +9,12 @@ Paper (n = 10000):
                        modules  8.42 ms   8.64 ms   99.72 %
   Ryzen 5 5600X        base     1.91 ms   2.90 ms   99.48 %
 
-The bench uses smaller n (pure-Python simulation); EXPERIMENTS.md records
-the trial counts alongside the paper's.
+The two Intel base rows run the paper's n = 10000 boots on the simulator
+and are held to the paper's accuracy within 0.006; the module and AMD rows
+use smaller n.  Each row reports the wall seconds its trials took.
 """
+
+from time import perf_counter
 
 from _bench_utils import once
 
@@ -21,7 +24,7 @@ from repro.attacks.kaslr_break import break_kaslr
 from repro.attacks.module_detect import detect_modules, region_accuracy
 from repro.machine import Machine
 
-BASE_TRIALS = 40
+BASE_TRIALS = 10_000
 MODULE_TRIALS = 5
 
 PAPER = {
@@ -50,24 +53,29 @@ def run_table1():
     for cpu, target, attack, trials in (
         ("i5-12400F", "base", _base_attack, BASE_TRIALS),
         ("i5-12400F", "modules", _module_attack, MODULE_TRIALS),
-        ("i7-1065G7", "base", _base_attack, BASE_TRIALS // 2),
+        ("i7-1065G7", "base", _base_attack, BASE_TRIALS),
         ("i7-1065G7", "modules", _module_attack, max(2, MODULE_TRIALS // 2)),
         ("ryzen5-5600X", "base", _base_attack, 8),
     ):
+        start = perf_counter()
         experiment = AccuracyExperiment(
             lambda seed, c=cpu: Machine.linux(cpu=c, seed=seed), attack
         ).run(trials)
+        wall_s = perf_counter() - start
         paper_probe, paper_total, paper_acc = PAPER[(cpu, target)]
         rows.append((
-            cpu, target, experiment.outcomes and len(experiment.outcomes),
+            cpu, target, len(experiment.outcomes),
             round(experiment.mean_probing_ms, 3), paper_probe,
             round(experiment.mean_total_ms, 3), paper_total,
-            round(experiment.accuracy, 4), paper_acc,
+            round(experiment.accuracy, 4), paper_acc, round(wall_s, 1),
         ))
         # the reproduction claims: runtimes within ~60%, accuracy >= 98%
         assert experiment.mean_probing_ms < paper_probe * 1.6 + 0.05
         assert experiment.mean_total_ms < paper_total * 1.6 + 0.05
         assert experiment.accuracy >= 0.98
+        if trials == BASE_TRIALS:
+            # paper-scale accuracy (n = 10000)
+            assert abs(experiment.accuracy - paper_acc) < 0.006
 
     # the paper's orderings
     by_key = {(r[0], r[1]): r for r in rows}
@@ -76,31 +84,12 @@ def run_table1():
     assert by_key[("i7-1065G7", "base")][5] < \
         by_key[("ryzen5-5600X", "base")][5]     # Intel P2 beats AMD P3
 
-    table = format_table(
+    return format_table(
         ["CPU", "target", "n", "probing ms", "paper", "total ms", "paper",
-         "accuracy", "paper"],
+         "accuracy", "paper", "wall s"],
         rows,
         title="Table I -- derandomization runtime and accuracy",
     )
-
-    # paper-scale accuracy (n = 10000) via the cross-validated vectorized
-    # trial model (repro.analysis.fastscan)
-    from repro.analysis.fastscan import reproduce_table1_accuracy
-
-    big_rows = []
-    for cpu, paper_acc in (("i5-12400F", 0.9960), ("i7-1065G7", 0.9929)):
-        __, accuracy, failures = reproduce_table1_accuracy(
-            cpu, trials=10_000, seed=1
-        )
-        assert abs(accuracy - paper_acc) < 0.006
-        big_rows.append((cpu, 10_000, round(accuracy, 4), paper_acc,
-                         failures))
-    big_table = format_table(
-        ["CPU", "n", "accuracy", "paper", "failed boots"], big_rows,
-        title="Table I accuracy at the paper's n = 10000 "
-              "(vectorized trial model)",
-    )
-    return table + "\n\n" + big_table
 
 
 def test_table1_runtime_accuracy(benchmark, record_result):

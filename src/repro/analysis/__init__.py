@@ -1,11 +1,6 @@
 """Measurement statistics, repeat-trial harnesses, and report rendering."""
 
 from repro.analysis.experiment import AccuracyExperiment, TrialOutcome
-from repro.analysis.fastscan import (
-    extract_scan_model,
-    reproduce_table1_accuracy,
-    simulate_base_attack_trials,
-)
 from repro.analysis.paper_report import build_report
 from repro.analysis.roc import auc, classifier_auc, roc_curve
 from repro.analysis.thresholds import compare_strategies, otsu, valley
@@ -23,11 +18,8 @@ __all__ = [
     "build_report",
     "classifier_auc",
     "compare_strategies",
-    "extract_scan_model",
     "otsu",
-    "reproduce_table1_accuracy",
     "roc_curve",
-    "simulate_base_attack_trials",
     "valley",
     "TimingSummary",
     "TrialOutcome",

@@ -13,9 +13,10 @@ import numpy as np
 def sample_noise_array(rng, shape, sigma, spike_prob, spike_cycles):
     """The NoiseModel distribution, vectorized: max(0, N) + spikes.
 
-    This is the one canonical vectorized noise kernel; the batched probe
-    engine and the fastscan trial model both call it so their noise can
-    never drift from each other (or from the scalar :meth:`NoiseModel.sample`
+    This is the one canonical vectorized noise kernel; the batched and
+    columnar probe engines both draw through it (via
+    :meth:`NoiseModel.sample_array`) so their noise can never drift from
+    each other (or from the scalar :meth:`NoiseModel.sample`
     distribution).  The RNG stream-consumption pattern is fixed -- one
     ``normal(shape)``, one ``random(shape)`` spike draw, and one
     ``random(shape)`` spike-magnitude draw issued only when any spike

@@ -199,17 +199,6 @@ class TestNoiseKernel:
         assert vector.min() >= 0
         assert np.all(vector == np.rint(vector))
 
-    def test_fastscan_noise_delegates_to_canonical_kernel(self):
-        from repro.analysis.fastscan import _noise, extract_scan_model
-
-        model = extract_scan_model("i5-12400F")
-        via_fastscan = _noise(np.random.default_rng(5), (100,), model)
-        direct = sample_noise_array(
-            np.random.default_rng(5), (100,), model.sigma,
-            model.spike_prob, model.spike_cycles,
-        )
-        assert np.array_equal(via_fastscan, direct)
-
     def test_zero_spike_prob_is_pure_truncated_gaussian(self):
         values = sample_noise_array(
             np.random.default_rng(2), 50_000, 2.0, 0.0, 400

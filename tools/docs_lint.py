@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Docs lint: the module map must be complete, intra-doc links alive.
+"""Docs lint: the module map complete, links alive, module names real.
 
 Five checks, all cheap enough for every CI run:
 
@@ -22,15 +22,20 @@ Five checks, all cheap enough for every CI run:
   ``repro.cli.build_parser()`` (``\\`` continuations joined, trailing
   ``#`` comments, pipes and redirections dropped), and any ``--cpu``
   value must be a ``CPU_CATALOG`` key.
-* **no stale module paths** -- every ``repro/...py`` path named in
-  ``README.md``, ``DESIGN.md`` or ``docs/*.md`` must exist under
-  ``src/``.  Deleting or renaming a module without updating the prose
-  that names it fails the build.
+* **no stale module paths or names** -- every ``repro/...py`` path
+  named in ``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md`` or
+  ``docs/*.md`` must exist under ``src/``, and every dotted
+  ``repro.<pkg>.<name>`` (optionally ``.<attr>``...) there must
+  resolve to a module or to an attribute of one.  A dotted name right
+  after ``/`` is a file path (``/run/repro.sock``) and is not checked.
+  Deleting or renaming a module or a public name without updating the
+  prose that names it fails the build.
 
 Exit status 0 when clean, 1 with one line per violation otherwise.
 """
 
 import contextlib
+import importlib
 import io
 import json
 import pathlib
@@ -60,6 +65,9 @@ _SHELL_TAIL = re.compile(r"\s(?:#|\||[0-9]?>|&|;)")
 
 #: a module path as the prose names it
 _MODULE_PATH = re.compile(r"\brepro/[\w/]+\.py\b")
+#: a dotted module or attribute name; one that continues a file path
+#: (``/run/repro.sock``) is not a Python name
+_DOTTED_NAME = re.compile(r"(?<![\w/.-])repro(?:\.\w+)+")
 
 
 def _pages():
@@ -175,15 +183,39 @@ def cli_example_violations():
     return bad
 
 
+def _resolves(dotted):
+    """True if ``repro.a.b.c`` is a module, or attributes of the longest
+    module prefix of it."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        path = SRC.joinpath(*parts[:cut])
+        if (path.with_suffix(".py").is_file()
+                or (path / "__init__.py").is_file()):
+            target = importlib.import_module(".".join(parts[:cut]))
+            for attr in parts[cut:]:
+                if not hasattr(target, attr):
+                    return False
+                target = getattr(target, attr)
+            return True
+    return False
+
+
 def stale_path_violations():
-    """``repro/...py`` paths in the prose that name no module file."""
+    """``repro/...py`` paths and ``repro.x.y`` names in the prose that
+    name no module file or attribute."""
+    if str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))
     stale = []
-    for page in [REPO / "DESIGN.md"] + _pages():
+    for page in [REPO / "DESIGN.md", REPO / "EXPERIMENTS.md"] + _pages():
         for number, line in enumerate(page.read_text().splitlines(), 1):
+            where = "{}:{}".format(page.relative_to(REPO), number)
             for name in _MODULE_PATH.findall(line):
                 if not (SRC / name).is_file():
-                    stale.append("{}:{}: no such module {}".format(
-                        page.relative_to(REPO), number, name))
+                    stale.append("{}: no such module {}".format(where, name))
+            for name in _DOTTED_NAME.findall(line):
+                if not _resolves(name):
+                    stale.append("{}: no such module or attribute {}".format(
+                        where, name))
     return stale
 
 
