@@ -83,41 +83,12 @@ def _add_chaos(parser):
                         help="supervisor retry budget (with --chaos-profile)")
 
 
-def _print_verdict(verdict, truth=None):
-    """Shared report for supervised runs."""
-    from repro.attacks.supervisor import verdict_correct
+def _print_result(result, victim=None, truth=None):
+    """Shared report for scenario results: attack verbs and `scenario`.
 
-    value = verdict.value
-    if isinstance(value, int):
-        value = hex(value)
-    print("status     : {}".format(verdict.status))
-    print("value      : {}".format(value))
-    if truth is not None:
-        if not isinstance(truth, dict):  # module truth is a name->address map
-            print("truth      : {}".format(
-                hex(truth) if isinstance(truth, int) else truth))
-        print("verdict    : {}".format(
-            "CORRECT" if verdict_correct(verdict, truth) else "WRONG"))
-    print("confidence : {:.3f}".format(verdict.confidence))
-    print("retries    : {}".format(verdict.retries))
-    print("probes     : {}".format(verdict.probes_spent))
-    print("elapsed    : {:.3f} ms".format(verdict.elapsed_ms))
-    kinds = {}
-    for event in verdict.disturbances:
-        kinds[event["kind"]] = kinds.get(event["kind"], 0) + 1
-    print("disturbances: {}".format(
-        ", ".join("{} x{}".format(k, n) for k, n in sorted(kinds.items()))
-        or "none"))
-    if verdict.degraded:
-        print("degraded   : {}".format(verdict.degraded))
-    for attempt in verdict.attempts:
-        print("  attempt {}: {}{}".format(
-            attempt.index, attempt.outcome,
-            " ({})".format(attempt.detail) if attempt.detail else ""))
-
-
-def _print_result(result, victim=None):
-    """Shared report for scenario results: attack verbs and `scenario`."""
+    A supervised run adds its verdict: the recovered value (against
+    ``truth`` when given), the disturbance kinds and every attempt.
+    """
     print("scenario : {}".format(result.name))
     if victim is not None:
         print("victim   : {}".format(victim))
@@ -129,6 +100,25 @@ def _print_result(result, victim=None):
         elif isinstance(value, float):
             value = "{:.3f}".format(value)
         print("  {:<16} {}".format(key, value))
+    verdict = result.verdict
+    if verdict is not None:
+        value = verdict.value
+        print("value    : {}".format(
+            hex(value) if isinstance(value, int) else value))
+        if truth is not None and not isinstance(truth, dict):
+            print("truth    : {}".format(
+                hex(truth) if isinstance(truth, int) else truth))
+        print("elapsed  : {:.3f} ms".format(verdict.elapsed_ms))
+        kinds = {}
+        for event in verdict.disturbances:
+            kinds[event["kind"]] = kinds.get(event["kind"], 0) + 1
+        print("chaos    : {}".format(", ".join(
+            "{} x{}".format(k, n) for k, n in sorted(kinds.items()))
+            or "none"))
+        for attempt in verdict.attempts:
+            print("  attempt {}: {}{}".format(
+                attempt.index, attempt.outcome,
+                " ({})".format(attempt.detail) if attempt.detail else ""))
     print("verdict  : {}".format("PASS" if result.passed else "FAIL"))
     for violation in result.violations:
         print("  violated: {}".format(violation))
@@ -154,6 +144,25 @@ def cmd_cpus(args):
 def _attack_spec(args):
     """Translate an attack verb's flags into a scenario spec."""
     verb = args.command
+    if verb == "chaos":
+        # one supervised attack on its own victim; passes when `found`
+        verb, cpu = args.attack, args.cpu
+        if cpu is None:
+            cpu = "i7-1065G7" if verb in ("sgx", "fingerprint") \
+                else "i5-12400F"
+        if verb == "cloud":
+            machine = {"os": "cloud", "provider": args.provider}
+        elif verb == "windows":
+            machine = {"os": "windows", "cpu": cpu}
+        else:
+            machine = {"os": "linux", "cpu": cpu, "kpti": verb == "kpti"}
+        machine.update(seed=args.seed, chaos=args.profile)
+        return {"name": "supervised-" + verb, "machine": machine,
+                "attack": {"kind": "supervised", "attack": verb,
+                           "max_retries": args.max_retries,
+                           "probe_budget": args.probe_budget,
+                           "engine": args.engine},
+                "expect": {"status": "found"}}
     machine = {"os": "linux", "cpu": getattr(args, "cpu", None),
                "seed": args.seed}
     name = verb
@@ -193,60 +202,44 @@ def _attack_spec(args):
 
 
 def cmd_attack(args):
-    """Every attack verb: its flags become a scenario spec, run on a
-    machine booted from that spec, reported like `repro scenario`."""
+    """Every attack verb, `chaos` included: its flags become a scenario
+    spec, run on a machine booted from that spec, reported like
+    `repro scenario`."""
+    from repro.attacks.supervisor import supervised_truth
     from repro.scenarios import _build_machine, run_on
 
-    spec = _attack_spec(args)
-    machine = _build_machine(spec["machine"])
-    tracer, started = _maybe_tracer(args, machine, args.command)
-    result = run_on(machine, spec)
-    _finish_tracer(tracer, started)
-    _print_result(result, victim=(machine.instance.provider
-                                  if machine.instance else machine.cpu.name))
-    return 0 if result.passed else 1
+    if getattr(args, "list", False):
+        from repro.chaos import CHAOS_PROFILES
 
-
-def cmd_chaos(args):
-    from repro.attacks.supervisor import supervise, supervised_truth
-    from repro.chaos import CHAOS_PROFILES
-    from repro.scenarios import _build_machine
-
-    if args.list:
         for name, profile in sorted(CHAOS_PROFILES.items()):
             print("{:<14} {:<44} [{}]".format(
                 name, profile.description,
                 ", ".join(profile.active_kinds) or "no events"))
         return 0
-
-    cpu = args.cpu
-    if cpu is None:
-        cpu = "i7-1065G7" if args.attack in ("sgx", "fingerprint") \
-            else "i5-12400F"
-    if args.attack == "cloud":
-        spec = {"os": "cloud", "provider": args.provider}
-    elif args.attack == "windows":
-        spec = {"os": "windows", "cpu": cpu}
-    else:
-        spec = {"os": "linux", "cpu": cpu, "kpti": args.attack == "kpti"}
-    machine = _build_machine(dict(spec, seed=args.seed, chaos=args.profile))
-
-    tracer, started = _maybe_tracer(args, machine, "chaos " + args.attack)
-    verdict = supervise(machine, args.attack, max_retries=args.max_retries,
-                        probe_budget=args.probe_budget,
-                        engine=args.engine)
+    spec = _attack_spec(args)
+    machine = _build_machine(spec["machine"])
+    command = args.command
+    if command == "chaos":
+        command += " " + args.attack
+    tracer, started = _maybe_tracer(args, machine, command)
+    result = run_on(machine, spec)
     _finish_tracer(tracer, started)
-    if args.out:
+    verdict = result.verdict
+    if getattr(args, "out", None):
         from repro.ioutil import write_json_atomic
 
         write_json_atomic(args.out, verdict.as_dict())
-    if args.json:
+    if getattr(args, "json", False):
         print(json.dumps(verdict.as_dict()))
     else:
-        print("attack     : {} under profile {!r}".format(
-            args.attack, args.profile))
-        _print_verdict(verdict, truth=supervised_truth(machine, args.attack))
-    return 0 if verdict.found else 1
+        victim = (machine.instance.provider if machine.instance
+                  else machine.cpu.name)
+        if machine.chaos is not None:
+            victim += " under chaos profile {!r}".format(
+                machine.chaos.profile.name)
+        _print_result(result, victim=victim, truth=(
+            supervised_truth(machine, verdict.attack) if verdict else None))
+    return 0 if result.passed else 1
 
 
 def cmd_scenario(args):
@@ -781,7 +774,7 @@ def build_parser():
                         "(atomic replace-on-write)")
     _add_per_op(p)
     _add_trace(p)
-    p.set_defaults(func=cmd_chaos)
+    p.set_defaults(func=cmd_attack)
 
     p = subparsers.add_parser("scenario", help="run one JSON scenario")
     p.add_argument("path")

@@ -29,7 +29,8 @@ from repro.cpu.core import SWEEP_ENGINES
 from repro.errors import ConfigError
 from repro.machine import Machine
 
-#: attack kinds -> runner(machine, params) -> dict of observations
+#: attack kinds -> runner(machine, params) -> dict of observations, or
+#: ``(observations, verdict)`` for the supervised kind
 _ATTACKS = {}
 
 
@@ -191,7 +192,7 @@ def _run_supervised(machine, params):
     }
     if attack == "modules":
         observations["identified"] = len(verdict.value or {})
-    return observations
+    return observations, verdict
 
 
 @_attack("hang")
@@ -283,10 +284,11 @@ class ScenarioResult:
     """Outcome of one scenario run."""
 
     __slots__ = ("name", "passed", "observations", "violations",
-                 "machine_seed", "chaos_digest", "degraded")
+                 "machine_seed", "chaos_digest", "degraded", "verdict")
 
     def __init__(self, name, passed, observations, violations,
-                 machine_seed=None, chaos_digest=None, degraded=None):
+                 machine_seed=None, chaos_digest=None, degraded=None,
+                 verdict=None):
         self.name = name
         self.passed = passed
         self.observations = observations
@@ -298,6 +300,8 @@ class ScenarioResult:
         self.chaos_digest = chaos_digest
         #: degradation reason (e.g. "deadline") or None
         self.degraded = degraded
+        #: the supervised kind's Verdict (in-process only: not in as_dict)
+        self.verdict = verdict
 
     def degrade(self, reason):
         """Downgrade this result instead of dropping it (deadline rule).
@@ -458,7 +462,9 @@ def load_scenario(scenario):
 def run_on(machine, scenario):
     """Run a loaded scenario's attack on ``machine`` and judge it."""
     params = dict(scenario["attack"])
-    observations = _ATTACKS[params.pop("kind")](machine, params)
+    outcome = _ATTACKS[params.pop("kind")](machine, params)
+    observations, verdict = (outcome if isinstance(outcome, tuple)
+                             else (outcome, None))
     violations = _check_expectations(
         scenario.get("expect", {}), observations
     )
@@ -467,6 +473,7 @@ def run_on(machine, scenario):
         machine_seed=machine.seed,
         chaos_digest=(machine.chaos.schedule_digest()
                       if machine.chaos is not None else None),
+        verdict=verdict,
     )
 
 

@@ -172,6 +172,17 @@ class TestSupervisedScenarios:
         ))
         assert result.passed, result.violations
         assert result.observations["disturbances"] > 0
+        # the verdict rides the result, but never its serialized form
+        assert result.verdict.status == result.observations["status"]
+        assert result.verdict.probes_spent == result.observations["probes"]
+        assert "verdict" not in result.as_dict()
+
+    def test_unsupervised_kind_has_no_verdict(self):
+        result = run_scenario(_scenario(
+            machine={"os": "linux", "seed": 11},
+            attack={"kind": "kaslr"}, expect={"correct": True},
+        ))
+        assert result.passed and result.verdict is None
 
     @pytest.mark.parametrize("machine, attack, wrong, right", [
         ({"os": "cloud", "provider": "ec2", "seed": 1}, {"attack": "cloud"},
