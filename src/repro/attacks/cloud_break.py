@@ -14,6 +14,7 @@ from repro.attacks.kpti_break import break_kaslr_kpti
 from repro.attacks.module_detect import detect_modules
 from repro.attacks.windows_break import find_kernel_region
 from repro.machine import Machine
+from repro.os.linux import layout
 
 
 class CloudBreakResult:
@@ -28,10 +29,12 @@ class CloudBreakResult:
         "modules_identified",
         "derandomized_bits",
         "method",
+        "simulated_probes",
     )
 
     def __init__(self, provider, base, base_correct, base_ms, modules_ms,
-                 modules_identified, derandomized_bits, method):
+                 modules_identified, derandomized_bits, method,
+                 simulated_probes):
         self.provider = provider
         self.base = base
         self.base_correct = base_correct
@@ -40,6 +43,7 @@ class CloudBreakResult:
         self.modules_identified = modules_identified
         self.derandomized_bits = derandomized_bits
         self.method = method
+        self.simulated_probes = simulated_probes
 
     def __repr__(self):
         return "CloudBreakResult({!r}, base={}, {:.2f} ms)".format(
@@ -58,6 +62,7 @@ def audit_cloud(provider=None, seed=0, machine=None,
     if machine is None:
         machine = Machine.cloud(provider, seed=seed)
     instance = machine.instance
+    rounds = machine.cpu.rounds_default
 
     if instance.os_family == "windows":
         result = find_kernel_region(machine, engine=engine)
@@ -70,12 +75,14 @@ def audit_cloud(provider=None, seed=0, machine=None,
             modules_identified=None,
             derandomized_bits=result.derandomized_bits,
             method=result.method,
+            simulated_probes=result.simulated_probes * rounds,
         )
 
     if instance.kpti:
         base_result = break_kaslr_kpti(machine, engine=engine)
     else:
         base_result = break_kaslr_intel(machine, engine=engine)
+    probes = len(base_result.timings) * rounds
 
     modules_ms = None
     identified = None
@@ -83,6 +90,7 @@ def audit_cloud(provider=None, seed=0, machine=None,
         module_result = detect_modules(machine, engine=engine)
         modules_ms = module_result.probing_ms
         identified = len(module_result.identified)
+        probes += layout.MODULE_SLOTS * rounds
 
     return CloudBreakResult(
         provider=instance.provider,
@@ -93,4 +101,5 @@ def audit_cloud(provider=None, seed=0, machine=None,
         modules_identified=identified,
         derandomized_bits=9,
         method=base_result.method,
+        simulated_probes=probes,
     )

@@ -21,15 +21,16 @@ class SgxBreakResult:
     """Outcome of the in-enclave derandomization."""
 
     __slots__ = ("code_base", "rw_pages", "load_seconds", "store_seconds",
-                 "libraries")
+                 "libraries", "simulated_probes")
 
     def __init__(self, code_base, rw_pages, load_seconds, store_seconds,
-                 libraries):
+                 libraries, simulated_probes):
         self.code_base = code_base
         self.rw_pages = rw_pages
         self.load_seconds = load_seconds
         self.store_seconds = store_seconds
         self.libraries = libraries
+        self.simulated_probes = simulated_probes
 
     def __repr__(self):
         return (
@@ -41,7 +42,7 @@ class SgxBreakResult:
         )
 
 
-def break_aslr_from_enclave(machine, rounds=2, identify=True):
+def break_aslr_from_enclave(machine, rounds=2, identify=True, engine=None):
     """Run the full in-enclave attack: code base scan + library scan."""
     if machine.enclave is None:
         raise AttackError(
@@ -50,9 +51,9 @@ def break_aslr_from_enclave(machine, rounds=2, identify=True):
     machine.enclave.require_timer()
 
     # pass 1 (masked load): filter out unmapped pages, find the code base
-    load_scan = find_user_code_base(machine, rounds=rounds)
+    load_scan = find_user_code_base(machine, rounds=rounds, engine=engine)
     # pass 2 (masked store): flag the read-write pages (faster per probe)
-    store_scan = scan_rw_pages(machine, rounds=rounds)
+    store_scan = scan_rw_pages(machine, rounds=rounds, engine=engine)
 
     libraries = identify_libraries(machine) if identify else None
     return SgxBreakResult(
@@ -61,4 +62,6 @@ def break_aslr_from_enclave(machine, rounds=2, identify=True):
         load_seconds=load_scan.probing_seconds,
         store_seconds=store_scan.probing_seconds,
         libraries=libraries,
+        simulated_probes=(load_scan.simulated_probes
+                          + store_scan.simulated_probes),
     )

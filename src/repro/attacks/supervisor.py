@@ -152,14 +152,6 @@ class Verdict:
     def found(self):
         return self.status == FOUND
 
-    def degrade(self, reason, factor=DEGRADE_FACTOR):
-        """Downgrade this verdict in place instead of dropping it."""
-        self.degraded = reason
-        self.status, self.confidence = apply_degradation(
-            self.status, self.confidence, factor
-        )
-        return self
-
     def as_dict(self):
         value = self.value
         if isinstance(value, int) and not isinstance(value, bool):
@@ -708,8 +700,7 @@ def _run_cloud(sup, detect_kernel_modules=True):
         machine.instance.provider, machine=machine,
         detect_kernel_modules=detect_kernel_modules, engine=sup.engine,
     )
-    sup.charge_probes(layout.KERNEL_TEXT_SLOTS
-                      * machine.cpu.rounds_default)
+    sup.charge_probes(result.simulated_probes)
     sup._check_layout_stable(generation)
     if result.base is None:
         return None, result, 0.0
@@ -727,11 +718,9 @@ def _run_sgx(sup, rounds=2, identify=True):
     if machine.enclave is None:
         machine.create_enclave()
     result = break_aslr_from_enclave(
-        machine, rounds=rounds, identify=identify
+        machine, rounds=rounds, identify=identify, engine=sup.engine
     )
-    # the scans probe a representative sample, not the whole 28-bit
-    # region; charge the sampled count (load + store passes)
-    sup.charge_probes(2 * 4096 * rounds)
+    sup.charge_probes(result.simulated_probes)
     if result.code_base is None:
         return None, result, 0.0
     confidence = 0.85

@@ -135,7 +135,8 @@ def _run_sgx(machine, params):
 
     machine.create_enclave()
     result = break_aslr_from_enclave(
-        machine, identify=params.get("identify", False)
+        machine, identify=params.get("identify", False),
+        engine=params.get("engine"),
     )
     return {
         "correct": result.code_base == machine.process.text_base,

@@ -26,10 +26,10 @@ CELLS = {
                    "86ec5a561f01466e51b10a7ecf812ac1"),
     "userspace": (1, "04d9f3d6da318b63b3a8045f213adbbe"
                      "86a4b7d24e8fc684abf558b2b72378b5"),
-    "cloud": (0, "29c47b0159526deef3eb36dff9b336f0"
-                 "3dcba392725dd83764edc85668586211"),
-    "sgx": (0, "f66c2a445abbad1723b43b76bd36a8e6"
-               "ea9443afb312a30ef34961dd17fba76f"),
+    "cloud": (0, "c3382623282c4bdfd3c29f4093388fc2"
+                 "21c4070807ab0d638007bee9a0883757"),
+    "sgx": (0, "9ac7bd3ab8e855abd999fbec3eb4a3c8"
+               "7b9c052ef94c0430b125fc424fe9b91c"),
     "fingerprint": (1, "d48c88394212b4957808f1282a491b8f"
                        "118e4dabc376a4757dec2e74f2c87af9"),
 }

@@ -61,6 +61,16 @@ class TestRunScenario:
             run_scenario(_scenario(attack={"kind": "kaslr",
                                            "engine": "simd"}))
 
+    def test_sgx_engine_param_reaches_the_sweeps(self):
+        from repro.machine import Machine
+        from repro.scenarios import run_on
+
+        machine = Machine.linux(cpu="i7-1065G7", seed=0)
+        result = run_on(machine, _scenario(
+            attack={"kind": "sgx", "engine": "per-op"}))
+        assert result.passed
+        assert machine.core.last_sweep.engine == "per-op"
+
     def test_max_expectation_violation(self):
         result = run_scenario(
             _scenario(expect={"correct": True, "max_total_ms": 0.0001})

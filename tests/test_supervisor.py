@@ -118,6 +118,15 @@ class TestFeedbackMechanisms:
         assert verdict.attempts[-1].outcome == "budget-exceeded"
         assert verdict.probes_spent > 100
 
+    def test_cloud_charge_covers_the_module_scan(self):
+        # the 512-probe base scan fits this budget; the 16384-slot module
+        # scan of the same audit does not
+        machine = Machine.cloud("ec2", seed=1)
+        verdict = supervise(machine, "cloud", probe_budget=4096)
+        assert verdict.status == FAILED
+        assert verdict.attempts[-1].outcome == "budget-exceeded"
+        assert verdict.probes_spent == 512 + 16384
+
     def test_budget_exception_carries_spending(self):
         machine = Machine.linux(seed=13)
         supervisor = AttackSupervisor(machine, probe_budget=10)
@@ -160,6 +169,13 @@ class TestOtherAttacks:
         verdict = supervise(machine, "windows")
         assert verdict.found
         assert verdict.value == machine.kernel.base
+
+    def test_sgx_charges_its_scans_on_the_chosen_engine(self):
+        machine = Machine.linux(cpu="i7-1065G7", seed=0)
+        verdict = supervise(machine, "sgx", engine="per-op")
+        assert verdict.found
+        assert machine.core.last_sweep.engine == "per-op"
+        assert verdict.probes_spent == verdict.result.simulated_probes
 
     def test_windows_attack_needs_windows(self):
         machine = Machine.linux(seed=0)
