@@ -48,25 +48,6 @@ def _add_trace(parser):
                              "run to PATH (inspect with `repro trace`)")
 
 
-def _maybe_tracer(args, machine, command):
-    """Build and attach a tracer when ``--trace PATH`` was given."""
-    trace_path = getattr(args, "trace", None)
-    if not trace_path:
-        return None, None
-    from repro.obs import Tracer
-
-    tracer = Tracer(path=trace_path, meta={"command": command})
-    tracer.attach(machine)
-    return tracer, time.perf_counter()
-
-
-def _finish_tracer(tracer, started):
-    if tracer is None:
-        return
-    tracer.finish(wall_ms=(time.perf_counter() - started) * 1000.0)
-    print("trace      : {}".format(tracer.path))
-
-
 def _add_per_op(parser):
     parser.add_argument("--per-op", dest="engine", action="store_const",
                         const="per-op", default=None,
@@ -84,11 +65,8 @@ def _add_chaos(parser):
 
 
 def _print_result(result, victim=None, truth=None):
-    """Shared report for scenario results: attack verbs and `scenario`.
-
-    A supervised run adds its verdict: the recovered value (against
-    ``truth`` when given), the disturbance kinds and every attempt.
-    """
+    """Shared report for scenario results: attack verbs and `scenario`;
+    a supervised run adds its verdict's value, ``truth`` and attempts."""
     print("scenario : {}".format(result.name))
     if victim is not None:
         print("victim   : {}".format(victim))
@@ -202,9 +180,8 @@ def _attack_spec(args):
 
 
 def cmd_attack(args):
-    """Every attack verb, `chaos` included: its flags become a scenario
-    spec, run on a machine booted from that spec, reported like
-    `repro scenario`."""
+    """Every attack verb: its flags become a scenario spec, run on a
+    machine booted from that spec, reported like `repro scenario`."""
     from repro.attacks.supervisor import supervised_truth
     from repro.scenarios import _build_machine, run_on
 
@@ -218,12 +195,20 @@ def cmd_attack(args):
         return 0
     spec = _attack_spec(args)
     machine = _build_machine(spec["machine"])
-    command = args.command
-    if command == "chaos":
-        command += " " + args.attack
-    tracer, started = _maybe_tracer(args, machine, command)
+    tracer = None
+    if getattr(args, "trace", None):
+        from repro.obs import Tracer
+
+        command = args.command
+        if command == "chaos":
+            command += " " + args.attack
+        tracer = Tracer(path=args.trace, meta={"command": command})
+        tracer.attach(machine)
+        started = time.perf_counter()
     result = run_on(machine, spec)
-    _finish_tracer(tracer, started)
+    if tracer is not None:
+        tracer.finish(wall_ms=(time.perf_counter() - started) * 1000.0)
+        print("trace      : {}".format(tracer.path))
     verdict = result.verdict
     if getattr(args, "out", None):
         from repro.ioutil import write_json_atomic
