@@ -21,7 +21,8 @@ Five checks, all cheap enough for every CI run:
   fenced block of ``README.md`` or ``docs/*.md`` must parse with
   ``repro.cli.build_parser()`` (``\\`` continuations joined, trailing
   ``#`` comments, pipes and redirections dropped), and any ``--cpu``
-  value must be a ``CPU_CATALOG`` key.
+  value, like any ``cpu="..."`` keyword in a fenced ``python`` block,
+  must be a ``CPU_CATALOG`` key.
 * **no stale module paths or names** -- every ``repro/...py`` path
   named in ``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md`` or
   ``docs/*.md`` must exist under ``src/``, and every dotted
@@ -62,6 +63,9 @@ _REPRO_COMMAND = re.compile(r"^(?:\$\s+)?(?:\w+=\S*\s+)*python -m repro\b(.*)")
 #: where a shell line's repro arguments end: a comment, pipe,
 #: redirection, background marker or command separator
 _SHELL_TAIL = re.compile(r"\s(?:#|\||[0-9]?>|&|;)")
+
+#: a ``cpu="..."`` keyword argument in a Python example
+_CPU_KEYWORD = re.compile(r"""\bcpu\s*=\s*["']([^"']*)["']""")
 
 #: a module path as the prose names it
 _MODULE_PATH = re.compile(r"\brepro/[\w/]+\.py\b")
@@ -155,8 +159,23 @@ def _fenced_repro_commands(text):
             yield start, _SHELL_TAIL.split(command.group(1), 1)[0]
 
 
+def _fenced_python_cpus(text):
+    """(line, value) of every ``cpu="..."`` keyword in a fenced
+    ``python`` block."""
+    language = None
+    for number, line in enumerate(text.splitlines(), start=1):
+        fence = line.lstrip()
+        if fence.startswith(("```", "~~~")):
+            language = fence[3:].strip() if language is None else None
+            continue
+        if language == "python":
+            for cpu in _CPU_KEYWORD.findall(line):
+                yield number, cpu
+
+
 def cli_example_violations():
-    """Fenced ``python -m repro`` examples the CLI would reject."""
+    """Fenced ``python -m repro`` examples the CLI would reject, and
+    fenced Python examples naming a CPU the catalog lacks."""
     if str(SRC) not in sys.path:
         sys.path.insert(0, str(SRC))
     from repro.cli import build_parser
@@ -180,6 +199,10 @@ def cli_example_violations():
             if cpu is not None and cpu not in CPU_CATALOG:
                 bad.append("{}: --cpu {} is not a CPU catalog key".format(
                     where, cpu))
+        for line, cpu in _fenced_python_cpus(page.read_text()):
+            if cpu not in CPU_CATALOG:
+                bad.append('{}:{}: cpu="{}" is not a CPU catalog key'.format(
+                    page.relative_to(REPO), line, cpu))
     return bad
 
 
