@@ -20,12 +20,14 @@ from repro.errors import AttackError
 class SgxBreakResult:
     """Outcome of the in-enclave derandomization."""
 
-    __slots__ = ("code_base", "rw_pages", "load_seconds", "store_seconds",
-                 "libraries", "simulated_probes")
+    __slots__ = ("code_base", "load_runs", "rw_pages", "load_seconds",
+                 "store_seconds", "libraries", "simulated_probes")
 
-    def __init__(self, code_base, rw_pages, load_seconds, store_seconds,
-                 libraries, simulated_probes):
+    def __init__(self, code_base, load_runs, rw_pages, load_seconds,
+                 store_seconds, libraries, simulated_probes):
         self.code_base = code_base
+        #: mapped runs the load pass saw (how believable its base is)
+        self.load_runs = load_runs
         self.rw_pages = rw_pages
         self.load_seconds = load_seconds
         self.store_seconds = store_seconds
@@ -58,6 +60,7 @@ def break_aslr_from_enclave(machine, rounds=2, identify=True, engine=None):
     libraries = identify_libraries(machine) if identify else None
     return SgxBreakResult(
         code_base=load_scan.base,
+        load_runs=load_scan.mapped_runs,
         rw_pages=store_scan.mapped_runs,
         load_seconds=load_scan.probing_seconds,
         store_seconds=store_scan.probing_seconds,

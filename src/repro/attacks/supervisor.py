@@ -679,11 +679,17 @@ def _run_userspace(sup, rounds=2):
     sup.charge_probes(result.simulated_probes)
     if result.base is None:
         return None, result, 0.0
-    # a believable scan shows few, compact mapped runs; a regime change
-    # mid-scan sprays spurious runs across the sampled region
-    runs = len(result.mapped_runs)
-    confidence = 0.9 if runs <= 8 else max(0.2, 0.9 - 0.05 * (runs - 8))
-    return result.base, result, confidence
+    return result.base, result, _runs_confidence(result.mapped_runs)
+
+
+def _runs_confidence(mapped_runs):
+    """Confidence in a user-space load pass, judged by its mapped runs.
+
+    A believable scan shows few, compact mapped runs; a regime change
+    mid-scan sprays spurious runs across the sampled region.
+    """
+    runs = len(mapped_runs)
+    return 0.9 if runs <= 8 else max(0.2, 0.9 - 0.05 * (runs - 8))
 
 
 def _run_cloud(sup, detect_kernel_modules=True):
@@ -723,7 +729,9 @@ def _run_sgx(sup, rounds=2, identify=True):
     sup.charge_probes(result.simulated_probes)
     if result.code_base is None:
         return None, result, 0.0
-    confidence = 0.85
+    # the code base comes from the load pass: judge it as the user-space
+    # attack judges its own, by how many mapped runs that pass saw
+    confidence = _runs_confidence(result.load_runs)
     if identify and result.libraries is not None \
             and result.libraries.matches:
         confidence = min(1.0, confidence

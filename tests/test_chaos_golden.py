@@ -28,8 +28,8 @@ CELLS = {
                      "86a4b7d24e8fc684abf558b2b72378b5"),
     "cloud": (0, "c3382623282c4bdfd3c29f4093388fc2"
                  "21c4070807ab0d638007bee9a0883757"),
-    "sgx": (0, "9ac7bd3ab8e855abd999fbec3eb4a3c8"
-               "7b9c052ef94c0430b125fc424fe9b91c"),
+    "sgx": (1, "8fbec8eba5b517f7fc9f32b3146ebe3b"
+               "5b9216c16f05eeb01300fa660737c4b3"),
     "fingerprint": (1, "d48c88394212b4957808f1282a491b8f"
                        "118e4dabc376a4757dec2e74f2c87af9"),
 }

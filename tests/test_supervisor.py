@@ -177,6 +177,21 @@ class TestOtherAttacks:
         assert machine.core.last_sweep.engine == "per-op"
         assert verdict.probes_spent == verdict.result.simulated_probes
 
+    def test_sgx_noisy_load_pass_is_not_a_confident_answer(self):
+        # seed 0: chaos sprays the load pass with hundreds of mapped
+        # runs and its code base is wrong; it must not end found
+        machine = Machine.linux(cpu="i7-1065G7", seed=0, chaos="default")
+        verdict = supervise(machine, "sgx")
+        assert len(verdict.result.load_runs) > 8
+        assert verdict.value != machine.process.text_base
+        assert not verdict.found
+        for seed in range(1, 6):
+            machine = Machine.linux(cpu="i7-1065G7", seed=seed,
+                                    chaos="default")
+            verdict = supervise(machine, "sgx")
+            assert verdict.status in (FOUND, ABSTAIN)
+            assert verdict.value == machine.process.text_base
+
     def test_windows_attack_needs_windows(self):
         machine = Machine.linux(seed=0)
         verdict = supervise(machine, "windows")
