@@ -47,6 +47,7 @@ import time
 
 from repro.campaign import journal as wal
 from repro.campaign.journal import CampaignJournal, fold_records, replay
+from repro.campaign.pool import WakeSignal
 from repro.campaign.runner import (
     DEFAULT_MAX_RETRIES,
     DEFAULT_WATCHDOG_S,
@@ -150,6 +151,9 @@ class ShardedCampaignRunner:
         #: to clients; a broken sink never breaks the fabric
         self.event_sink = event_sink
         self._draining = threading.Event()
+        #: rung whenever a shard's empty feed may have gone stale: a
+        #: unit resolved, a shard exited (its units requeued), a drain
+        self._wake = WakeSignal()
         self.shards = max(1, shards)
         self.jobs = max(1, jobs)
         self.watchdog_s = watchdog_s
@@ -170,6 +174,9 @@ class ShardedCampaignRunner:
         self._backlogs = {}
         self._handed = {}
         self._steals = 0
+        #: a shard was told ``[]`` since the last ring: only then does a
+        #: resolved unit need to wake anyone
+        self._starved = False
         self._shard_objs = []
         # the tracer/metrics objects are not thread-safe; shard threads
         # funnel through _obs_lock
@@ -216,6 +223,7 @@ class ShardedCampaignRunner:
         from exactly this state.
         """
         self._draining.set()
+        self._wake.ring()
 
     def status(self):
         """Read-only fabric-wide view: ``(meta, folded)``."""
@@ -358,6 +366,7 @@ class ShardedCampaignRunner:
                 deadline=deadline,
                 faults=faults,
                 drain=self._draining,
+                wake=self._wake,
                 beat_root=str(self.journal.path.parent),
                 beat_prefix=self.journal.path.stem + ".beats-",
             ))
@@ -390,8 +399,8 @@ class ShardedCampaignRunner:
 
         Own backlog first; an empty backlog steals from the richest
         other backlog (each steal journaled + traced *before* the unit
-        changes hands).  Returns ``[]`` -- keep polling -- while other
-        shards still hold backlog or outstanding units that could yet
+        changes hands).  Returns ``[]`` -- wait for the wake signal --
+        while other shards still hold outstanding units that could yet
         be requeued, and ``None`` -- exhausted, shut down -- once
         nothing anywhere could become this shard's work.
         """
@@ -433,6 +442,7 @@ class ShardedCampaignRunner:
                 )
                 if not outstanding:
                     return None
+                self._starved = True
                 return []
         for unit_id, victim in stolen:
             # emitted outside _lock: emit_event takes _obs_lock and
@@ -448,6 +458,10 @@ class ShardedCampaignRunner:
         """A handed unit reached a journaled finish/skip on ``index``."""
         with self._lock:
             self._handed[index].pop(unit_id, None)
+            starved, self._starved = self._starved, False
+        if starved:
+            # an idle shard waiting on this unit may now be done
+            self._wake.ring()
 
     def shard_exited(self, shard):
         """A shard thread ended; requeue its outstanding units.
@@ -460,6 +474,8 @@ class ShardedCampaignRunner:
             outstanding = list(self._handed[shard.index].values())
             self._handed[shard.index].clear()
             self._backlogs[shard.index].extend(outstanding)
+        # survivors steal the requeued units, or learn they are done
+        self._wake.ring()
         if shard.state == DEAD:
             self.emit_event(
                 "shard-quarantined", shard=shard.index,

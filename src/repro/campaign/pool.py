@@ -30,7 +30,14 @@ missing supervision:
 
 The pool is generic: ``run(units, worker)`` takes ``(unit_id,
 payload)`` pairs and any picklable module-level ``worker(payload)``.
-Both the scenario suite and the campaign runner drive it.
+The scenario suite, the campaign shards and the serve backend drive it.
+
+Dispatch is event-driven: the pool blocks until a unit completes or
+the owner of its ``feed`` rings a :class:`WakeSignal` (new work, a
+drain, a peer shard's unit resolved).  The only timed waits are the
+watchdog/heartbeat pass while units are in flight (every
+``heartbeat_s``) and the next retry's backoff deadline; an idle pool
+sleeps until it is rung.
 """
 
 import collections
@@ -95,6 +102,35 @@ class PoolOutcome:
         return "PoolOutcome({!r}, {}, attempts={})".format(
             self.unit, self.status, self.attempts
         )
+
+
+class WakeSignal:
+    """A bell the owner of a pool's ``feed`` rings when work may be ready.
+
+    It holds a sentinel ``Future`` that :meth:`ring` completes and
+    replaces.  The pool takes the current sentinel (:meth:`armed`) at
+    the top of each loop pass, *before* it calls ``feed``, and adds it
+    to the set it waits on: a ring that lands while ``feed`` runs
+    completes the sentinel already taken, so it is never lost.  One
+    signal may be shared by every pool of one owner (all shards of a
+    campaign); a ring wakes them all.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._future = concurrent.futures.Future()
+
+    def armed(self):
+        """The sentinel the next :meth:`ring` completes."""
+        with self._lock:
+            return self._future
+
+    def ring(self):
+        """Wake every pool waiting on this signal."""
+        with self._lock:
+            future, self._future = \
+                self._future, concurrent.futures.Future()
+        future.set_result(None)
 
 
 class _Task:
@@ -171,10 +207,16 @@ class SupervisedPool:
     floored at :data:`STALE_AFTER_S`) the silence that counts as frozen;
     ``max_retries`` bounds charged re-launches per unit, spaced by
     ``backoff_base_s * 2**(attempt-1)`` -- stretched by seeded jitter
-    when ``seed`` is given (see :meth:`_backoff_s`); ``tick_s`` is the
-    supervision loop's poll interval (latency/CPU trade-off, no effect
-    on results); ``faults`` lets an infra fault injector skew the clock
-    the heartbeat watchdog reads through.
+    when ``seed`` is given (see :meth:`_backoff_s`); ``faults`` lets an
+    infra fault injector skew the clock the heartbeat watchdog reads
+    through.
+
+    The pool never polls: it waits for a unit to complete or for the
+    :class:`WakeSignal` passed to :meth:`run` to be rung.  While units
+    are in flight that wait is capped at ``heartbeat_s`` so the
+    watchdog pass keeps its cadence, and while a retry backs off it is
+    capped at the earliest ``eligible_at``; an idle pool blocks until
+    it is rung.
 
     ``beat_root`` anchors the per-run heartbeat directory: by default
     beat files live in a fresh system temp directory, but a campaign
@@ -187,7 +229,7 @@ class SupervisedPool:
 
     def __init__(self, jobs=1, watchdog_s=None, heartbeat_s=0.25,
                  stale_after_s=None, max_retries=0, backoff_base_s=0.05,
-                 tick_s=0.1, seed=None, faults=None, beat_root=None,
+                 seed=None, faults=None, beat_root=None,
                  beat_prefix="repro-pool-"):
         self.jobs = max(1, jobs)
         self.watchdog_s = watchdog_s
@@ -197,7 +239,6 @@ class SupervisedPool:
         self.stale_after_s = stale_after_s
         self.max_retries = max_retries
         self.backoff_base_s = backoff_base_s
-        self.tick_s = tick_s
         #: campaign seed for reproducible retry jitter (None = no jitter)
         self.seed = seed
         #: fault injector whose clock-skew draws taint heartbeat reads
@@ -210,7 +251,7 @@ class SupervisedPool:
 
     def run(self, units, worker, deadline=None, on_start=None,
             on_finish=None, on_retry=None, on_skip=None, feed=None,
-            feed_priority=None, drain=None):
+            feed_priority=None, drain=None, wake=None):
         """Run ``(unit_id, payload)`` pairs; return {unit_id: PoolOutcome}.
 
         Callbacks (all optional) fire in the parent, in submission
@@ -222,11 +263,14 @@ class SupervisedPool:
         ``feed`` (optional) is an incremental work source: called as
         ``feed(room)`` whenever the pool has capacity, it returns up to
         ``room`` more ``(unit_id, payload)`` pairs, an empty list when
-        nothing is available *right now* (the pool keeps polling -- how
-        a shard waits for stealable work), or None when the source is
-        exhausted for good.  The initial ``units`` list still runs
-        first; a shard passes ``units=[]`` and lives entirely off its
-        coordinator's feed.
+        nothing is available *right now*, or None when the source is
+        exhausted for good.  After an empty list the pool calls ``feed``
+        again only once a unit completes or ``wake`` (a
+        :class:`WakeSignal`) is rung, so the feed's owner must ring
+        ``wake`` whenever an earlier ``[]`` may have gone stale: new
+        work arrived, a drain began, a peer shard resolved a unit.  The
+        initial ``units`` list still runs first; a shard passes
+        ``units=[]`` and lives entirely off its coordinator's feed.
 
         ``feed_priority`` (optional) is a key function ``(unit_id,
         payload) -> sortable`` applied to the *pending* queue after
@@ -242,7 +286,8 @@ class SupervisedPool:
         backoff-waiting units are abandoned *unrecorded* (they stay
         pending in the campaign journal, exactly what a resume needs)
         while in-flight units finish normally.  This is the graceful
-        SIGTERM path: finish what is running, journal it, stop.
+        SIGTERM path: finish what is running, journal it, stop.  Whoever
+        sets ``drain`` rings ``wake`` too, so an idle pool notices.
         """
         results = {}
         queue = collections.deque(_Task(uid, payload)
@@ -251,12 +296,17 @@ class SupervisedPool:
         in_flight = {}
         executor = None
         exhausted = feed is None
+        if wake is None:
+            wake = WakeSignal()
         if self.beat_root is not None:
             os.makedirs(self.beat_root, exist_ok=True)
         beat_dir = tempfile.mkdtemp(prefix=self.beat_prefix,
                                     dir=self.beat_root)
         try:
             while True:
+                # armed before feed runs: a ring during feed is not lost
+                woken = wake.armed()
+                starved = False
                 if drain is not None and drain.is_set():
                     # graceful drain: abandon (don't skip) pending work,
                     # let the in-flight units run to their journaled end
@@ -269,6 +319,7 @@ class SupervisedPool:
                     )
                     if room > 0:
                         batch = feed(room)
+                        starved = batch == []
                         if batch is None:
                             exhausted = True
                         else:
@@ -281,11 +332,6 @@ class SupervisedPool:
                                     key=lambda t:
                                     feed_priority(t.id, t.payload),
                                 ))
-                if not (queue or waiting or in_flight):
-                    if exhausted:
-                        break
-                    time.sleep(self.tick_s)
-                    continue
                 now = time.monotonic()
                 ripe = [t for t in waiting if t.eligible_at <= now]
                 waiting = [t for t in waiting if t.eligible_at > now]
@@ -324,25 +370,29 @@ class SupervisedPool:
                         continue
                     in_flight[future] = task
 
-                if not in_flight:
-                    if queue:
-                        continue
-                    if waiting:
-                        pause = min(t.eligible_at for t in waiting) \
-                            - time.monotonic()
-                        time.sleep(max(0.0, min(pause, self.tick_s)))
-                        continue
+                if not (in_flight or waiting):
                     if exhausted:
                         break
-                    time.sleep(self.tick_s)
-                    continue
-
+                    if not starved:
+                        # everything fed this pass was skipped: the
+                        # feed may hold more, so ask before blocking
+                        continue
+                # block until a unit completes or the owner rings; only
+                # the watchdog cadence and a retry's backoff are timed
+                timeout = self.heartbeat_s if in_flight else None
+                if waiting:
+                    pause = max(0.0, min(t.eligible_at for t in waiting)
+                                - time.monotonic())
+                    timeout = pause if timeout is None \
+                        else min(timeout, pause)
                 done, __ = concurrent.futures.wait(
-                    list(in_flight), timeout=self.tick_s,
+                    list(in_flight) + [woken], timeout=timeout,
                     return_when=concurrent.futures.FIRST_COMPLETED,
                 )
                 broken = False
                 for future in done:
+                    if future is woken:
+                        continue
                     task = in_flight.pop(future)
                     try:
                         value = future.result()

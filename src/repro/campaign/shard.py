@@ -72,7 +72,7 @@ class Shard:
 
     def __init__(self, index, journal_path, coordinator, jobs=1,
                  watchdog_s=None, max_retries=0, seed=0, deadline=None,
-                 faults=None, drain=None, beat_root=None,
+                 faults=None, drain=None, wake=None, beat_root=None,
                  beat_prefix="repro-pool-"):
         self.index = index
         self.coordinator = coordinator
@@ -84,6 +84,8 @@ class Shard:
         self.faults = faults
         #: coordinator-owned drain event (graceful stop), or None
         self.drain = drain
+        #: coordinator-owned wake signal shared by every shard's pool
+        self.wake = wake
         self.beat_root = beat_root
         self.beat_prefix = beat_prefix
         self.journal = CampaignJournal(journal_path, faults=faults)
@@ -132,6 +134,7 @@ class Shard:
                 on_skip=self._on_skip,
                 on_finish=self._on_finish,
                 drain=self.drain,
+                wake=self.wake,
             )
             self._append(wal.SHARD_FINISH, shard=self.index)
             self.state = DONE

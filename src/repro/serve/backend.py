@@ -39,7 +39,7 @@ import threading
 import time
 
 from repro.campaign.coordinator import ShardedCampaignRunner
-from repro.campaign.pool import SupervisedPool
+from repro.campaign.pool import SupervisedPool, WakeSignal
 from repro.campaign.runner import (
     DEFAULT_MAX_RETRIES,
     DEFAULT_WATCHDOG_S,
@@ -161,6 +161,9 @@ class ServeBackend:
         self._plan_runners = {}
         self._plan_threads = []
         self._drain = threading.Event()
+        #: rung on every submission and on drain: the pool blocks on it
+        #: (or a unit completing) instead of polling the scheduler
+        self._wake = WakeSignal()
         self._pool_thread = None
 
     # -- lifecycle -------------------------------------------------------------
@@ -185,6 +188,7 @@ class ServeBackend:
         and every plan runner thread have ended, or ``timeout``.
         """
         self._drain.set()
+        self._wake.ring()
         with self._lock:
             runners = list(self._plan_runners.values())
             threads = list(self._plan_threads)
@@ -257,6 +261,7 @@ class ServeBackend:
                 sub.tenant, sub.rid, (sub, str(path)),
                 deadline=sub.deadline,
             )
+        self._wake.ring()
 
     def submit_plan(self, sub, plan):
         """Launch (or resume) a sharded campaign for ``plan``."""
@@ -338,8 +343,10 @@ class ServeBackend:
                     [], _run_unit,
                     feed=self._feed,
                     feed_priority=self._feed_rank,
+                    on_start=self._on_start,
                     on_retry=self._on_retry,
                     on_finish=self._on_finish,
+                    wake=self._wake,
                 )
             except Exception as error:  # noqa: BLE001
                 self.breakers.record_failure()
@@ -375,11 +382,14 @@ class ServeBackend:
             sub.emit_event("unit-skip",
                            {"unit": sub.rid, "reason": "deadline"})
             sub.complete(SKIPPED, reason="deadline")
-        if not batch and self.scheduler.depth() == 0 \
-                and self._drain.is_set():
-            return None
-        for rid, sub, __ in batch:
-            sub.emit_event("unit-start", {"unit": rid, "attempt": 0})
+        if not batch:
+            if self.scheduler.depth() > 0:
+                # work is queued but none came out (all expired, or a
+                # tiny weight still short of credit): ring, so the pool
+                # feeds again rather than waiting for the next arrival
+                self._wake.ring()
+            elif self._drain.is_set():
+                return None
         return [(rid, path) for rid, __, path in batch]
 
     def _feed_rank(self, unit_id, _payload):
@@ -391,6 +401,13 @@ class ServeBackend:
         deadline = sub.deadline if sub.deadline is not None \
             else float("inf")
         return (-sub.priority, deadline)
+
+    def _on_start(self, unit_id, attempt):
+        with self._lock:
+            sub = self._active.get(unit_id)
+        if sub is not None:
+            sub.emit_event("unit-start", {"unit": unit_id,
+                                          "attempt": attempt - 1})
 
     def _on_retry(self, unit_id, attempt, reason):
         with self._lock:

@@ -216,7 +216,7 @@ class TestSupervisedPool:
 
     def test_watchdog_kills_hung_worker_within_bound(self):
         pool = SupervisedPool(jobs=2, watchdog_s=1.0, heartbeat_s=0.05,
-                              max_retries=0, tick_s=0.05)
+                              max_retries=0)
         start = time.monotonic()
         outcomes = pool.run(
             [("hung", {"kind": "hang"}),
@@ -230,7 +230,7 @@ class TestSupervisedPool:
 
     def test_stale_heartbeat_detected(self):
         pool = SupervisedPool(jobs=1, heartbeat_s=0.05, stale_after_s=0.6,
-                              max_retries=0, tick_s=0.05)
+                              max_retries=0)
         outcomes = pool.run(
             [("frozen", {"kind": "freeze"})], _flaky_worker,
         )
@@ -239,8 +239,7 @@ class TestSupervisedPool:
 
     def test_killed_worker_charged_innocents_ride_free(self, tmp_path):
         sentinel = str(tmp_path / "sentinel")
-        pool = SupervisedPool(jobs=2, max_retries=2, backoff_base_s=0.01,
-                              tick_s=0.05)
+        pool = SupervisedPool(jobs=2, max_retries=2, backoff_base_s=0.01)
         outcomes = pool.run(
             [("calm1", {"kind": "square", "n": 2}),
              ("killer", {"kind": "die-once", "sentinel": sentinel}),
@@ -255,8 +254,7 @@ class TestSupervisedPool:
             assert outcomes[unit].attempts == 1  # never charged
 
     def test_retry_budget_exhaustion_is_terminal_and_deterministic(self):
-        pool = SupervisedPool(jobs=1, max_retries=1, backoff_base_s=0.01,
-                              tick_s=0.05)
+        pool = SupervisedPool(jobs=1, max_retries=1, backoff_base_s=0.01)
         outcomes = pool.run(
             [("doomed", {"kind": "die-always"})], _flaky_worker,
         )
