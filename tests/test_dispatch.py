@@ -228,20 +228,24 @@ class TestServeDispatch:
         backend = self._backend(tmp_path)
         feed = backend._feed
         calls = []
+        fed = threading.Event()
 
         def counting_feed(room):
             calls.append(room)
-            return feed(room)
+            batch = feed(room)
+            fed.set()
+            return batch
 
         monkeypatch.setattr(backend, "_feed", counting_feed)
         backend.start()
         try:
-            time.sleep(0.2)
+            assert fed.wait(GUARD_S)
+            time.sleep(0.1)
             cpu = time.process_time()
             before = len(calls)
             time.sleep(1.0)
             cpu = time.process_time() - cpu
-            assert len(calls) - before == 0
+            assert len(calls) == before == 1
             assert cpu < 0.02
             # and a submission still launches at once on its ring
             sub = self._submit(backend, "r1")
