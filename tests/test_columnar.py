@@ -36,6 +36,7 @@ from repro.attacks.userspace import find_user_code_base
 from repro.cpu import columnar
 from repro.errors import AddressError
 from repro.machine import Machine
+from repro.mmu.flags import PageFlags
 from repro.os.linux import layout
 
 CPUS = ["i5-12400F", "i7-1065G7", "ryzen5-5600X"]
@@ -348,6 +349,161 @@ class TestTLBOccupancyProperty:
         assert perop.core.tlb.occupancy() == col.core.tlb.occupancy()
         assert perop.core.clock.cycles == col.core.clock.cycles
         assert perop.core.perf.snapshot() == col.core.perf.snapshot()
+
+
+#: the four SGX parts and one AMD part (no TLB fills for supervisor pages)
+FUZZ_CPUS = ["i7-1065G7", "i9-9900", "i7-6600U", "i7-1185G7",
+             "ryzen5-5600X"]
+
+
+def _walker_image(walker):
+    """PSC and paging-line LRU order plus the walk count.
+
+    Node ids are global, so twin machines hold different ids for the same
+    structures; ids are renamed in order of first appearance.
+    """
+    names = {}
+
+    def name(node_id):
+        return names.setdefault(node_id, len(names))
+
+    psc = [
+        (level, [(key, name(node)) for key, node in cache._entries.items()])
+        for level, cache in sorted(walker.psc._caches.items())
+    ]
+    lines = [(name(node), line) for node, line in walker.line_cache._lines
+             ._entries]
+    return walker.completed_walks, psc, lines
+
+
+def _tlb_buckets(tlb):
+    """``_tlb_image`` without the hit/miss counters."""
+    return [buckets for __, __, __, buckets in _tlb_image(tlb)]
+
+
+def _fuzz_pools(machine):
+    """The address populations a sweep draws from."""
+    base = machine.process.mmap(96)
+    return {
+        "modules": [layout.MODULE_START + i * 4096 for i in range(1024)],
+        "mapped": [base + i * 4096 for i in range(96)],
+        "unmapped": [base + (96 + 32 + i) * 4096 for i in range(64)],
+        "slots": _base_vas(machine)[:96],
+    }
+
+
+@st.composite
+def _fuzz_vas(draw, pools):
+    """One sweep's address set: a mixed pick, or a module run that
+    straddles the ``WINDOW_ROWS`` boundary; some vectors sit at page
+    offsets above 4064 (they span two pages)."""
+    if draw(st.integers(0, 6)) == 0:
+        start = layout.MODULE_START + draw(st.integers(0, 512)) * 4096
+        count = columnar.WINDOW_ROWS + draw(st.integers(1, 48))
+        vas = [start + i * 4096 for i in range(count)]
+    else:
+        kinds = draw(st.lists(st.sampled_from(sorted(pools)), min_size=1,
+                              max_size=4, unique=True))
+        pool = [va for kind in kinds for va in pools[kind]]
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=32,
+                              max_size=240))
+        vas = [pool[i] for i in picks]
+        if draw(st.booleans()):
+            vas.sort()
+    for index in draw(st.lists(st.integers(0, len(vas) - 1), max_size=3)):
+        vas[index] += draw(st.sampled_from([64, 2048, 4065, 4088]))
+    return vas
+
+
+class TestDifferentialFuzz:
+    """Random machines driven through *sequences* of sweeps.
+
+    Each example boots three twin machines (random CPU, KPTI, chaos
+    profile) and runs the same steps on each with the per-op, batched
+    and columnar engines: fresh sweeps, a sweep repeated back to back, a
+    load pass followed by a store pass over the same pages (the SGX
+    break's two passes), kernel-mode TLB fills under KPTI's PCID tag,
+    and pages dirtied behind the TLB's back.  After every step batched
+    and columnar agree bit for bit (matrix, clock, PMU, TLB image,
+    walker, RNG, chaos schedule); per-op agrees on clock, PMU, TLB
+    buckets, walker and chaos schedule, and on the TLB hit/miss counters
+    while no sweep has replayed more than two ops per address.
+    """
+
+    @settings(max_examples=16, deadline=None)
+    @given(st.data())
+    def test_sweep_sequences_agree(self, data):
+        cpu = data.draw(st.sampled_from(FUZZ_CPUS), label="cpu")
+        kpti = data.draw(st.booleans(), label="kpti")
+        chaos = data.draw(st.sampled_from([None, "default", "rerandomizing"]),
+                          label="chaos")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        machines = {engine: Machine.linux(cpu=cpu, seed=seed, kpti=kpti,
+                                          chaos=chaos)
+                    for engine in ("per-op", "batched", "columnar")}
+        pools = {engine: _fuzz_pools(machine)
+                 for engine, machine in machines.items()}
+        assert pools["per-op"] == pools["batched"] == pools["columnar"]
+        pools = pools["batched"]
+        counters_comparable = True
+        sweep = None
+        for __ in range(data.draw(st.integers(2, 4), label="steps")):
+            step = data.draw(st.sampled_from(
+                ["sweep", "sweep", "again", "other-op", "kernel-touch",
+                 "dirty"]), label="step")
+            if step == "kernel-touch":
+                vas = data.draw(st.lists(
+                    st.sampled_from(pools["modules"] + pools["slots"]),
+                    min_size=1, max_size=24))
+                for machine in machines.values():
+                    machine.core.kernel_touch(vas)
+                continue
+            if step == "dirty":
+                vas = data.draw(st.lists(st.sampled_from(pools["mapped"]),
+                                         min_size=1, max_size=8))
+                for machine in machines.values():
+                    page_table = machine.core.address_space.page_table
+                    for va in vas:
+                        page_table.set_flag(va, PageFlags.DIRTY)
+                continue
+            if sweep is None or step == "sweep":
+                vas = data.draw(_fuzz_vas(pools), label="vas")
+                straddles = len(vas) > columnar.WINDOW_ROWS
+                sweep = dict(
+                    vas=vas,
+                    op=data.draw(st.sampled_from(["load", "store"])),
+                    warm=data.draw(st.booleans()),
+                    rounds=1 if straddles else data.draw(st.integers(1, 3)),
+                    reduce=data.draw(st.sampled_from(["mean", "min", None])),
+                )
+            elif step == "other-op":
+                sweep = dict(sweep, op="store" if sweep["op"] == "load"
+                             else "load")
+            ops_per_va = sweep["rounds"] * (2 if sweep["warm"] else 1)
+            counters_comparable &= ops_per_va <= 2
+            results = {
+                engine: machine.core.probe_sweep(engine=engine, **sweep)
+                for engine, machine in machines.items()
+            }
+            batched = machines["batched"].core
+            col = machines["columnar"].core
+            perop = machines["per-op"].core
+            assert np.array_equal(results["batched"], results["columnar"])
+            assert _machine_state(machines["batched"]) \
+                == _machine_state(machines["columnar"])
+            assert _walker_image(batched.walker) == _walker_image(col.walker)
+            assert (batched.rng.bit_generator.state
+                    == col.rng.bit_generator.state)
+            assert perop.clock.cycles == col.clock.cycles
+            assert perop.perf.snapshot() == col.perf.snapshot()
+            assert _tlb_buckets(perop.tlb) == _tlb_buckets(col.tlb)
+            assert _walker_image(perop.walker) == _walker_image(col.walker)
+            if counters_comparable:
+                assert perop.tlb.stats() == col.tlb.stats()
+            if chaos is not None:
+                assert (perop.chaos.schedule_digest()
+                        == batched.chaos.schedule_digest()
+                        == col.chaos.schedule_digest())
 
 
 class TestSelectionAndDelegation:
