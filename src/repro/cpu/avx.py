@@ -98,25 +98,25 @@ class AVXUnit:
     # -- public entry points ------------------------------------------------
 
     def masked_load(self, space, va, mask=ZERO_MASK, element_size=4,
-                    privileged=False, page_size_hint=None):
+                    privileged=False):
         """VPMASKMOV load: returns a :class:`MaskedOpResult`."""
         return self._masked_op(
             space, va, mask, element_size, privileged, is_store=False,
-            data=None, page_size_hint=page_size_hint,
+            data=None,
         )
 
     def masked_store(self, space, va, mask=ZERO_MASK, element_size=4,
-                     privileged=False, data=None, page_size_hint=None):
+                     privileged=False, data=None):
         """VPMASKMOV store of ``data`` (bytes per active element)."""
         return self._masked_op(
             space, va, mask, element_size, privileged, is_store=True,
-            data=data, page_size_hint=page_size_hint,
+            data=data,
         )
 
     # -- implementation -----------------------------------------------------
 
     def _masked_op(self, space, va, mask, element_size, privileged, is_store,
-                   data, page_size_hint=None):
+                   data):
         if element_size not in ELEMENT_SIZES:
             raise ValueError("bad element size {}".format(element_size))
         count = VECTOR_BYTES // element_size
@@ -150,7 +150,7 @@ class AVXUnit:
         walks = 0
         for page in pages:
             translation, level, walk_cycles = self._translate(
-                space, page, privileged, page_size_hint
+                space, page, privileged
             )
             translations[page] = translation
             cycles += walk_cycles
@@ -194,12 +194,12 @@ class AVXUnit:
             return (first,)
         return (first, last)
 
-    def _translate(self, space, page_va, privileged, page_size_hint=None):
+    def _translate(self, space, page_va, privileged):
         """TLB-first translation of one page.
 
         Returns ``(translation_or_None, tlb_level_or_None, cycles)``.
         """
-        entry, level = self.tlb.lookup(page_va, page_size_hint)
+        entry, level = self.tlb.lookup(page_va)
         if entry is not None:
             cost = (
                 self.cpu.tlb_hit_l1 if level == "L1" else self.cpu.tlb_hit_l2

@@ -26,12 +26,23 @@ through the exact same ``deepest_hit`` / ``access`` / ``fill`` call
 sequence the walker issues, in row order.  Every interior row's cache
 outcome is forced by the boundary row that opened its run or group (the
 walk resumes at the terminal level and its line is hot and
-most-recently-used), so interior rows are pure array arithmetic.  The
-TLB is evolved the same way: a window is only *eligible* if the compile
-step can prove from the live TLB contents that every first access
-misses every array and no two sweep fills collide, in which case hit/
-miss counters, per-set bucket order (LRU replay), and the closed-form
-clock/perf replay are applied per window instead of per op.
+most-recently-used), so interior rows are pure array arithmetic.
+
+The TLB is evolved the same way, from a proof over the live TLB
+contents taken once per window.  A row's first lookup either misses
+every array (a *walking* row: it walks and may fill) or hits exactly one
+cached entry (a *hit* row: no walk, no fill, no PSC or line-cache
+traffic; it refreshes its entry, an sTLB hit is promoted into L1, and
+its steady op is an L1 hit).  Hit rows take their cost and assist from
+the cached entry, which can disagree with the page table, and they are
+invisible to the run/group decomposition -- they leave the walker's
+state exactly as they found it.  A window is *eligible* when no row sees
+two cached candidate keys, no fill or promotion collides with a cached
+key, no key is touched by two rows, and no set holding a hit entry
+receives more insertions than it has free ways (so no entry a hit row
+needs is evicted first).  Then hit/miss counters, per-set bucket order
+(untouched entries, then touched and inserted ones in row order) and the
+closed-form clock/perf replay are applied per window instead of per op.
 
 Anything the proof does not cover -- ineligible windows, non-canonical
 or page-spanning addresses, zero-mask-NOP hardware, disabled or
@@ -223,41 +234,106 @@ class _Plan:
     """One compiled, eligibility-proven window of a sweep."""
 
     __slots__ = ("n", "T", "present", "idx_all", "node_ids", "term_node",
-                 "term_idx", "run_first", "boundary", "walk_base", "op_base",
-                 "assist", "has_assist", "fill_mask", "walks2", "vpn", "pfn",
-                 "flag_objs", "page_size", "size_code")
+                 "term_idx", "run_first", "boundary", "trans_base",
+                 "op_base", "assist", "has_assist", "fill_mask", "walks2",
+                 "vpn", "pfn", "flag_objs", "page_size", "size_code", "hit",
+                 "hit_rows", "hit_entries", "hit_l2")
 
 
-def _tlb_key_sets(tlb):
-    """Packed (vpn, size) keys currently cached: (visible, all)."""
+#: the page-size order of :meth:`repro.mmu.tlb.TwoLevelTLB.lookup`'s
+#: probes, in L1 and again in the sTLB
+_PROBE_SIZES = (PAGE_SIZE, PAGE_SIZE_2M, PAGE_SIZE_1G)
+
+
+def _tlb_index(tlb):
+    """The live TLB's packed (vpn, size) keys, indexed once per compile.
+
+    Returns ``(l1_visible, stlb_visible, l1_keys, all_keys)``: the two
+    dicts map every key a lookup under the active tag can hit to its
+    entry; the two sets hold the cached keys of every tag.
+    """
     asid = tlb.active_asid
-    visible = set()
-    all_keys = set()
-    for array in list(tlb.l1.values()) + [tlb.stlb]:
-        for bucket in array._sets:
-            for entry in bucket:
-                key = entry.vpn * 4 + _SIZE_CODE[entry.page_size]
-                all_keys.add(key)
-                if entry.asid == asid or entry.is_global:
-                    visible.add(key)
-    return visible, all_keys
+    index = []
+    for arrays in (list(tlb.l1.values()), [tlb.stlb]):
+        visible = {}
+        keys = set()
+        for array in arrays:
+            for bucket in array._sets:
+                for entry in bucket:
+                    key = entry.vpn * 4 + _SIZE_CODE[entry.page_size]
+                    keys.add(key)
+                    if entry.asid == asid or entry.is_global:
+                        visible[key] = entry
+        index.append((visible, keys))
+    (l1_visible, l1_keys), (stlb_visible, stlb_keys) = index
+    return l1_visible, stlb_visible, l1_keys, l1_keys | stlb_keys
+
+
+def _hit_assist(cpu, flags, op):
+    """``(has_assist, cycles)`` of a hit row, from the cached flags."""
+    if op == "load":
+        return (False, 0) if flags.user else (True, cpu.assist_load)
+    if not flags.user or not flags.writable:
+        return True, cpu.assist_store
+    if not flags.dirty:
+        return True, cpu.assist_dirty
+    return False, 0
+
+
+def _set_overflows(tlb, vpn, size_code, fill_mask, hit_entries, hit_l2):
+    """Condition D: does a set holding a hit entry receive more
+    insertions (fills and sTLB promotions) than it has free ways?"""
+    stlb = tlb.stlb
+    inserts = {}
+    fill_rows = np.flatnonzero(fill_mask)
+    for code, size in enumerate(_PROBE_SIZES):
+        vpns = vpn[fill_rows[size_code[fill_rows] == code]]
+        if not vpns.size:
+            continue
+        arrays = (tlb.l1[size],) if size == PAGE_SIZE_1G \
+            else (tlb.l1[size], stlb)
+        for array in arrays:
+            sets, counts = np.unique(vpns % array.sets, return_counts=True)
+            for set_index, count in zip(sets.tolist(), counts.tolist()):
+                key = (id(array), set_index)
+                inserts[key] = inserts.get(key, 0) + count
+    touched = []
+    for entry, l2 in zip(hit_entries, hit_l2.tolist()):
+        l1 = tlb.l1[entry.page_size]
+        if l2:
+            key = (id(l1), entry.vpn % l1.sets)
+            inserts[key] = inserts.get(key, 0) + 1
+            touched.append((stlb, entry.vpn % stlb.sets))
+        else:
+            touched.append((l1, entry.vpn % l1.sets))
+    return any(
+        inserts.get((id(array), set_index), 0)
+        > array.ways - len(array._sets[set_index])
+        for array, set_index in touched
+    )
+
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 def _compile(core, vas, op):
     """Compile one window (``vas``: uint64 array) into a :class:`_Plan`.
 
-    Returns None when the window cannot be proven equivalent to the
-    per-op path; the caller then routes those rows through
+    Returns the rejection reason instead (``"non-canonical"``,
+    ``"page-span"``, ``"malformed-pt"``, ``"multi-hit"``,
+    ``"fill-collision"``, ``"duplicate-key"``, ``"tlb-set-overflow"``,
+    ...) when the window cannot be proven equivalent to the per-op path;
+    the caller then routes those rows through
     :func:`repro.cpu.engine.sweep_rows`.
     """
     n = vas.size
     canonical = (vas <= np.uint64(CANONICAL_LOW_END)) \
         | (vas >= np.uint64(CANONICAL_HIGH_START))
     if not canonical.all():
-        return None
+        return "non-canonical"
     # a 32-byte vector whose base offset exceeds 4064 spans two pages
     if ((vas & np.uint64(0xFFF)) > np.uint64(4064)).any():
-        return None
+        return "page-span"
 
     idx_cols = [
         ((vas >> shift) & _INDEX_MASK_U64).astype(np.int64)
@@ -267,42 +343,72 @@ def _compile(core, vas, op):
     try:
         _resolve(core.address_space.page_table.root, 0,
                  np.arange(n, dtype=np.int64), idx_cols, out)
-    except _Ineligible:
-        return None
+    except _Ineligible as exc:
+        return str(exc)
 
     T = out.T
     present = out.present
     vpn = (vas >> _VPN_SHIFT_OF_LEVEL[T]).astype(np.int64)
     size_code = _CODE_OF_LEVEL[T]
     cpu = core.cpu
-    fill_mask = present & (out.user | cpu.fills_tlb_for_supervisor_user_probe)
+    tlb = core.tlb
 
     # -- TLB eligibility proof -------------------------------------------
-    # A: no candidate lookup key (any page size) may hit a visible entry,
-    #    so every first access is a full miss;
+    # A: a row's candidate lookup keys (one per page size) match at most
+    #    one visible entry: none makes it a walking row (its first access
+    #    misses every array), one a hit row;
     # B: no fill key may match a cached key of any tag, or TLB.fill would
-    #    replace in place instead of appending (it ignores the asid);
-    # C: no fill key may collide with any other row's candidate keys, so
-    #    sweep fills never hit or replace each other.
-    cand = np.concatenate([
-        ((vas >> np.uint64(12)).astype(np.int64) << 2),
+    #    replace in place instead of appending (it ignores the asid); the
+    #    same holds for an sTLB hit's promotion into L1;
+    # C: no fill or hit key may be another row's candidate key, so sweep
+    #    rows never hit, refresh or replace each other's entries;
+    # D: no set holding a hit entry may receive more insertions than it
+    #    has free ways, so no entry is evicted before its hit row runs.
+    cand = np.stack([
+        (vas >> np.uint64(12)).astype(np.int64) << 2,
         ((vas >> np.uint64(21)).astype(np.int64) << 2) | 1,
         ((vas >> np.uint64(30)).astype(np.int64) << 2) | 2,
     ])
+    l1_visible, stlb_visible, l1_keys, all_keys = _tlb_index(tlb)
+    hit = np.zeros(n, dtype=bool)
+    hit_rows = _NO_ROWS
+    hit_keys = _NO_ROWS
+    if l1_visible or stlb_visible:
+        visible = l1_visible.keys() | stlb_visible.keys()
+        matches = np.isin(
+            cand, np.fromiter(visible, dtype=np.int64, count=len(visible))
+        )
+        count = matches.sum(axis=0)
+        if (count > 1).any():
+            return "multi-hit"
+        hit = count == 1
+        hit_rows = np.flatnonzero(hit)
+        hit_keys = cand[matches[:, hit_rows].argmax(axis=0), hit_rows]
+    fill_mask = present & ~hit \
+        & (out.user | cpu.fills_tlb_for_supervisor_user_probe)
     fill_keys = (vpn * 4 + size_code)[fill_mask]
-    visible, all_keys = _tlb_key_sets(core.tlb)
-    if visible:
-        vis = np.fromiter(visible, dtype=np.int64, count=len(visible))
-        if np.isin(cand, vis).any():
-            return None
-    if fill_keys.size:
-        if all_keys:
-            alk = np.fromiter(all_keys, dtype=np.int64, count=len(all_keys))
-            if np.isin(fill_keys, alk).any():
-                return None
+    if fill_keys.size and all_keys:
+        alk = np.fromiter(all_keys, dtype=np.int64, count=len(all_keys))
+        if np.isin(fill_keys, alk).any():
+            return "fill-collision"
+    owned = np.concatenate([fill_keys, hit_keys])
+    if owned.size:
         unique, counts = np.unique(cand, return_counts=True)
-        if (counts[np.searchsorted(unique, fill_keys)] > 1).any():
-            return None
+        if (counts[np.searchsorted(unique, owned)] > 1).any():
+            return "duplicate-key"
+    hit_entries = []
+    hit_l2 = np.zeros(hit_rows.size, dtype=bool)
+    for k, key in enumerate(hit_keys.tolist()):
+        entry = l1_visible.get(key)
+        if entry is None:
+            if key in l1_keys:
+                return "fill-collision"
+            entry = stlb_visible[key]
+            hit_l2[k] = True
+        hit_entries.append(entry)
+    if hit_entries and _set_overflows(tlb, vpn, size_code, fill_mask,
+                                      hit_entries, hit_l2):
+        return "tlb-set-overflow"
 
     # -- per-row timing inputs -------------------------------------------
     timing = core.walker.timing
@@ -318,8 +424,14 @@ def _compile(core, vas, op):
     plan.page_size = _SIZE_OF_LEVEL_ARR[T]
     plan.size_code = size_code
     plan.fill_mask = fill_mask
-    plan.walks2 = ~fill_mask
-    plan.walk_base = timing.base + timing.level_step * (T + 1)
+    plan.walks2 = ~(fill_mask | hit)
+    plan.hit = hit
+    plan.hit_rows = hit_rows
+    plan.hit_entries = hit_entries
+    plan.hit_l2 = hit_l2
+    # first-op translation cost before the walk's line accesses: walk
+    # base plus level steps, or a hit row's L1/L2 hit cost
+    plan.trans_base = timing.base + timing.level_step * (T + 1)
     if op == "load":
         plan.op_base = cpu.load_base
         plan.has_assist = ~(present & out.user)
@@ -332,26 +444,37 @@ def _compile(core, vas, op):
             np.where(~out.user | ~out.writable, cpu.assist_store,
                      np.where(~out.dirty, cpu.assist_dirty, 0)),
         )
+    for row, entry, l2 in zip(hit_rows.tolist(), hit_entries,
+                              hit_l2.tolist()):
+        plan.has_assist[row], plan.assist[row] = _hit_assist(
+            cpu, entry.flags, op)
+        plan.trans_base[row] = cpu.tlb_hit_l2 if l2 else cpu.tlb_hit_l1
 
-    # -- run / group decomposition ---------------------------------------
+    # -- run / group decomposition over the walking rows -------------------
     rows = np.arange(n)
     plan.term_node = plan.node_ids[T, rows]
     plan.term_idx = plan.idx_all[T, rows]
-    run_first = np.empty(n, dtype=bool)
-    run_first[0] = True
-    if n > 1:
+    walking = np.flatnonzero(~hit) if hit_rows.size else rows
+    plan.run_first = np.zeros(n, dtype=bool)
+    plan.boundary = walking
+    if walking.size:
+        node_ids = plan.node_ids[:, walking]
+        levels = T[walking]
+        term_node = plan.term_node[walking]
+        term_line = plan.term_idx[walking] >> 3
+        run_first = np.empty(walking.size, dtype=bool)
+        run_first[0] = True
         run_first[1:] = (
-            (plan.node_ids[:, 1:] != plan.node_ids[:, :-1]).any(axis=0)
-            | (T[1:] != T[:-1])
+            (node_ids[:, 1:] != node_ids[:, :-1]).any(axis=0)
+            | (levels[1:] != levels[:-1])
         )
-    group_first = run_first.copy()
-    if n > 1:
+        group_first = run_first.copy()
         group_first[1:] |= (
-            (plan.term_node[1:] != plan.term_node[:-1])
-            | ((plan.term_idx[1:] >> 3) != (plan.term_idx[:-1] >> 3))
+            (term_node[1:] != term_node[:-1])
+            | (term_line[1:] != term_line[:-1])
         )
-    plan.run_first = run_first
-    plan.boundary = np.flatnonzero(group_first)
+        plan.run_first[walking] = run_first
+        plan.boundary = walking[group_first]
     return plan
 
 
@@ -362,7 +485,8 @@ def _sim_boundary(core, plan, row, walk1_extra):
     PSC fills; group-first rows touch just the (new) terminal line.
     Interior rows are never simulated: their walk resumes at the
     terminal level and finds its line hot and MRU, so they have no state
-    effect at all (LRU refreshes of an MRU key are no-ops).
+    effect at all (LRU refreshes of an MRU key are no-ops).  Hit rows
+    between them do not walk, so they change none of this.
     """
     walker = core.walker
     timing = walker.timing
@@ -390,18 +514,18 @@ def _row_cycles(core, plan, walk1_extra, lo, hi, ops_per_va):
     cpu = core.cpu
     timing = core.walker.timing
     window = slice(lo, hi)
-    walk_base = plan.walk_base[window]
+    trans_base = plan.trans_base[window]
     assist = plan.assist[window]
-    first_raw = plan.op_base + walk_base + walk1_extra[window] + assist
+    first_raw = plan.op_base + trans_base + walk1_extra[window] + assist
     if ops_per_va == 1:
         steady_raw = first_raw
     else:
-        # fillable rows hit their own first-op fill in L1; the rest walk
+        # rows that filled or hit find their entry in L1; the rest walk
         # again, resuming at the terminal level with its line hot
         steady_raw = np.where(
-            plan.fill_mask[window],
+            plan.walks2[window],
+            plan.op_base + trans_base + timing.access_hot + assist,
             plan.op_base + cpu.tlb_hit_l1 + assist,
-            plan.op_base + walk_base + timing.access_hot + assist,
         )
     scale = core.dvfs_scale
     if scale != 1.0:
@@ -423,6 +547,7 @@ def _run_window(core, plan, state, rounds, warm, seg_start, deadline):
     n = plan.n
     timing = core.walker.timing
     walk1_extra = np.full(n, timing.access_hot, dtype=np.int64)
+    walk1_extra[plan.hit_rows] = 0
     ops_per_va = 2 * rounds if warm else rounds
 
     if deadline is None:
@@ -438,13 +563,16 @@ def _run_window(core, plan, state, rounds, warm, seg_start, deadline):
     base_clock = core.clock.cycles
     elapsed = 0
     done = n
-    boundary = plan.boundary.tolist()
-    for k, row in enumerate(boundary):
+    starts = plan.boundary.tolist()
+    if plan.hit[0]:
+        starts.insert(0, 0)  # the window opens with hit rows
+    for k, row in enumerate(starts):
         if base_clock + elapsed >= deadline:
             done = row
             break
-        nxt = boundary[k + 1] if k + 1 < len(boundary) else n
-        _sim_boundary(core, plan, row, walk1_extra)
+        nxt = starts[k + 1] if k + 1 < len(starts) else n
+        if not plan.hit[row]:
+            _sim_boundary(core, plan, row, walk1_extra)
         first, steady = _row_cycles(core, plan, walk1_extra, row, nxt,
                                     ops_per_va)
         state.first[seg_start + row:seg_start + nxt] = first
@@ -464,6 +592,83 @@ def _run_window(core, plan, state, rounds, warm, seg_start, deadline):
                 break
         elapsed += int(totals[-1])
     return done, walk1_extra
+
+
+def _count_l1_hits(tlb, size, ops):
+    """Counters of ``ops`` lookups that hit L1 at ``size``: the arrays
+    :meth:`repro.mmu.tlb.TwoLevelTLB.lookup` probes first all miss."""
+    for smaller in _PROBE_SIZES[:_PROBE_SIZES.index(size)]:
+        tlb.l1[smaller].misses += ops
+    tlb.l1[size].hits += ops
+
+
+def _count_hits(tlb, plan, hits, second_op):
+    """Hit/miss counters of hit rows ``plan.hit_rows[:hits]``.
+
+    The first op hits L1, or misses all three L1 arrays and hits the
+    sTLB after missing the smaller page sizes there; the second op (if
+    any) hits L1.
+    """
+    stlb = tlb.stlb
+    for k in range(hits):
+        size = plan.hit_entries[k].page_size
+        l1_ops = int(second_op)
+        if plan.hit_l2[k]:
+            for array in tlb.l1.values():
+                array.misses += 1
+            stlb.misses += _PROBE_SIZES.index(size)
+            stlb.hits += 1
+        else:
+            l1_ops += 1
+        if l1_ops:
+            _count_l1_hits(tlb, size, l1_ops)
+
+
+def _replay_buckets(tlb, plan, done, hits):
+    """Per-set bucket order after rows [0, done).
+
+    Each (array, set) keeps its untouched entries in order, followed by
+    the entries the window filled, promoted or refreshed, in row order
+    -- one shared TLBEntry per fill, as TLB.fill makes -- and drops the
+    oldest beyond ``ways``.  The proof guarantees that a set which hit
+    rows refresh never overflows.
+    """
+    asid = tlb.active_asid
+    stlb = tlb.stlb
+    pending = {}
+
+    def touch(array, entry, refresh):
+        set_index = entry.vpn % array.sets
+        events = pending.setdefault((id(array), set_index),
+                                    (array, set_index, [], set()))
+        events[2].append(entry)
+        if refresh:
+            events[3].add(id(entry))
+
+    hit_index = dict(zip(plan.hit_rows[:hits].tolist(), range(hits)))
+    rows = np.flatnonzero(plan.fill_mask[:done] | plan.hit[:done])
+    for row in rows.tolist():
+        k = hit_index.get(row)
+        if k is not None:
+            entry = plan.hit_entries[k]
+            l1 = tlb.l1[entry.page_size]
+            if plan.hit_l2[k]:
+                touch(stlb, entry, True)
+                touch(l1, entry, False)
+            else:
+                touch(l1, entry, True)
+            continue
+        size = int(plan.page_size[row])
+        entry = TLBEntry(int(plan.vpn[row]), int(plan.pfn[row]),
+                         plan.flag_objs[row], size, False, asid)
+        touch(tlb.l1[size], entry, False)
+        if size != PAGE_SIZE_1G:
+            touch(stlb, entry, False)
+    for array, set_index, entries, refreshed in pending.values():
+        bucket = array._sets[set_index]
+        if refreshed:
+            bucket = [e for e in bucket if id(e) not in refreshed]
+        array._sets[set_index] = (bucket + entries)[-array.ways:]
 
 
 def _apply_accounting(core, plan, state, walk1_extra, done, seg_start,
@@ -487,74 +692,58 @@ def _apply_accounting(core, plan, state, walk1_extra, done, seg_start,
         else "MEM_INST_RETIRED.ALL_LOADS",
         done * ops_per_va,
     )
+    hits = int(np.searchsorted(plan.hit_rows, done))
+    walking = done - hits
     walks2 = plan.walks2[:done]
     second_walks = int(walks2.sum())
-    walks_total = done + second_walks * (ops_per_va - 1)
+    walks_total = walking + second_walks * (ops_per_va - 1)
     perf.increment("DTLB_LOAD_MISSES.WALK_COMPLETED", walks_total)
     core.walker.completed_walks += walks_total
-    walk_base = plan.walk_base[:done]
-    # walk durations are pre-DVFS, exactly as the walker counts them
-    duration = int((walk_base + walk1_extra[:done]).sum())
+    trans_base = plan.trans_base[:done]
+    # walk durations are pre-DVFS, exactly as the walker counts them;
+    # hit rows carry a hit cost in trans_base and no walk
+    duration = int((trans_base + walk1_extra[:done]).sum())
+    if hits:
+        duration -= int(trans_base[plan.hit_rows[:hits]].sum())
     if ops_per_va > 1 and second_walks:
         duration += (ops_per_va - 1) * int(
-            (walk_base[walks2] + core.walker.timing.access_hot).sum()
+            (trans_base[walks2] + core.walker.timing.access_hot).sum()
         )
     perf.increment("DTLB_LOAD_MISSES.WALK_DURATION", duration)
     assists = int(plan.has_assist[:done].sum())
     if assists:
         perf.increment("ASSISTS.ANY", assists * ops_per_va)
+    l2_hits = int(plan.hit_l2[:hits].sum())
+    if l2_hits:
+        perf.increment("DTLB_LOAD_MISSES.STLB_HIT", l2_hits)
 
-    # -- TLB counters: first op fully misses; the second op either hits
-    # the row's own fill in L1 or fully misses again.  Skipped
-    # repetitions never touch TLB counters (the engine replays perf
-    # counters only), so the second-op effects land exactly once.
+    # -- TLB counters: a walking row's first op fully misses; its second
+    # op either hits the row's own fill in L1 (after missing the smaller
+    # page sizes' arrays) or fully misses again.
+    # Skipped repetitions never touch TLB counters (the engine replays
+    # perf counters only), so the second-op effects land exactly once.
     tlb = core.tlb
     l1_arrays = list(tlb.l1.values())
     for array in l1_arrays:
-        array.misses += done
-    tlb.stlb.misses += 3 * done
+        array.misses += walking
+    tlb.stlb.misses += 3 * walking
     fill_mask = plan.fill_mask[:done]
     fills = int(fill_mask.sum())
     if ops_per_va > 1:
-        refused = done - fills
-        if refused:
+        if second_walks:
             for array in l1_arrays:
-                array.misses += refused
-            tlb.stlb.misses += 3 * refused
+                array.misses += second_walks
+            tlb.stlb.misses += 3 * second_walks
         if fills:
-            for code, size in ((0, PAGE_SIZE), (1, PAGE_SIZE_2M),
-                               (2, PAGE_SIZE_1G)):
+            for code, size in enumerate(_PROBE_SIZES):
                 count = int((fill_mask & (plan.size_code[:done] == code))
                             .sum())
                 if count:
-                    tlb.l1[size].hits += count
-
-    if fills:
-        # bucket replay: per (array, set), appending k entries to a
-        # bucket of b with pop(0)-on-full keeps the last ``ways`` of
-        # bucket+fills -- one shared TLBEntry per row, as TLB.fill makes
-        asid = tlb.active_asid
-        pending = {}
-        vpns = plan.vpn[:done]
-        pfns = plan.pfn[:done]
-        sizes = plan.page_size[:done]
-        for row in np.flatnonzero(fill_mask).tolist():
-            size = int(sizes[row])
-            vpn = int(vpns[row])
-            entry = TLBEntry(vpn, int(pfns[row]), plan.flag_objs[row],
-                             size, False, asid)
-            l1 = tlb.l1[size]
-            pending.setdefault(
-                (id(l1), vpn % l1.sets), (l1, vpn % l1.sets, [])
-            )[2].append(entry)
-            if size != PAGE_SIZE_1G:
-                stlb = tlb.stlb
-                pending.setdefault(
-                    (id(stlb), vpn % stlb.sets), (stlb, vpn % stlb.sets, [])
-                )[2].append(entry)
-        for array, set_index, entries in pending.values():
-            combined = array._sets[set_index] + entries
-            array._sets[set_index] = combined[-array.ways:]
+                    _count_l1_hits(tlb, size, count)
+    if hits:
+        _count_hits(tlb, plan, hits, ops_per_va > 1)
+    if fills or hits:
+        _replay_buckets(tlb, plan, done, hits)
 
 
 def _delegate_reason(core):
@@ -605,7 +794,8 @@ def columnar_sweep(core, vas, rounds, op="load", warm=True, reduce="mean",
     -- the batched engine (``"forced"``, ``"short-sweep"``); whole-sweep
     conditions the columnar model does not cover (tracing, zero-mask-NOP
     hardware, ...) delegate the same way.  Records a
-    :class:`~repro.cpu.engine.SweepReport` as ``core.last_sweep``.
+    :class:`~repro.cpu.engine.SweepReport` as ``core.last_sweep``; its
+    ``reason`` names the first window rejection of a columnar sweep.
     """
     n = len(vas)
     reason = fallback or _delegate_reason(core)
@@ -626,13 +816,15 @@ def columnar_sweep(core, vas, rounds, op="load", warm=True, reduce="mean",
     columnar_rows = 0
     fallback_rows = 0
     windows = 0
+    reason = None
     start = 0
     while start < n:
         if chaos is not None:
             core.chaos_poll()
         end = min(n, start + WINDOW_ROWS)
         plan = _compile(core, vas_u64[start:end], op)
-        if plan is None:
+        if isinstance(plan, str):
+            reason = reason or plan
             _engine.sweep_rows(core, vas, rounds, op, warm, state, start, end)
             fallback_rows += end - start
             start = end
@@ -655,5 +847,5 @@ def columnar_sweep(core, vas, rounds, op="load", warm=True, reduce="mean",
         start += done
     result = _engine.finalize_sweep(core, state, warm, reduce)
     core.last_sweep = _engine.SweepReport("columnar", columnar_rows,
-                                          fallback_rows, windows)
+                                          fallback_rows, windows, reason)
     return result

@@ -128,10 +128,9 @@ class Core:
     # -- raw execution (advances the clock) ----------------------------------
 
     def masked_load(self, va, mask=ZERO_MASK, element_size=4,
-                    privileged=False, page_size_hint=None):
+                    privileged=False):
         result = self.avx.masked_load(
             self.address_space, va, mask, element_size, privileged,
-            page_size_hint,
         )
         if self.dvfs_scale != 1.0:
             result.cycles = int(round(result.cycles * self.dvfs_scale))
@@ -139,10 +138,9 @@ class Core:
         return result
 
     def masked_store(self, va, mask=ZERO_MASK, element_size=4,
-                     privileged=False, data=None, page_size_hint=None):
+                     privileged=False, data=None):
         result = self.avx.masked_store(
             self.address_space, va, mask, element_size, privileged, data,
-            page_size_hint,
         )
         if self.dvfs_scale != 1.0:
             result.cycles = int(round(result.cycles * self.dvfs_scale))

@@ -129,22 +129,18 @@ def sweep_rows(core, vas, rounds, op, warm, state, lo, hi):
             state.noise[i] = core.noise.sample_array(
                 core.rng, (rounds,)
             ).astype(np.int64)
-        page_table = core.address_space.page_table
-        translation = page_table.lookup(va).translation
-        hint = translation.page_size if translation is not None else None
-
-        result = execute(va, page_size_hint=hint)
+        result = execute(va)
         first[i] = result.cycles
         if ops_per_va == 1:
             steady[i] = result.cycles
         else:
             skipped = ops_per_va - 2
             if not skipped:
-                steady[i] = execute(va, page_size_hint=hint).cycles
+                steady[i] = execute(va).cycles
             else:
                 snap = core.perf.snapshot()
                 walks_before = core.walker.completed_walks
-                result = execute(va, page_size_hint=hint)
+                result = execute(va)
                 steady[i] = result.cycles
 
                 delta = core.perf.delta_since(snap)
@@ -160,6 +156,7 @@ def sweep_rows(core, vas, rounds, op, warm, state, lo, hi):
         # RDTSC + loop overhead the per-op _observe() path would have
         core.clock.advance(per_va_overhead)
         if obs.enabled:
+            translation = core.address_space.page_table.lookup(va).translation
             obs.metrics.observe(
                 "engine.probe_cycles." + _page_class(translation),
                 int(steady[i]),

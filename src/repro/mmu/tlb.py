@@ -179,29 +179,18 @@ class TwoLevelTLB:
     def _vpn(va, page_size):
         return va // page_size
 
-    def lookup(self, va, page_size_hint=None):
+    def lookup(self, va):
         """Look ``va`` up across page sizes and levels.
 
         Returns ``(entry, level)`` where level is "L1" or "L2", or
-        ``(None, None)`` on a full miss.  An sTLB hit is promoted into the
+        ``(None, None)`` on a full miss.  The L1 arrays are probed 4 KiB,
+        2 MiB, 1 GiB, then the sTLB in the same order; every probe counts
+        a hit or a miss on its array.  An sTLB hit is promoted into the
         appropriate L1 array, as hardware does.  Matching respects the
         active PCID tag.
-
-        ``page_size_hint`` (from a pre-resolved structural lookup, e.g.
-        the batched engine's) probes that page size's arrays first so a
-        hit costs one array scan instead of up to six; misses still fall
-        through to every array, so results are unchanged.
         """
         asid = self.active_asid
-        if page_size_hint in self.l1:
-            entry = self.l1[page_size_hint].lookup(
-                self._vpn(va, page_size_hint), page_size_hint, asid
-            )
-            if entry is not None:
-                return entry, "L1"
         for page_size, l1 in self.l1.items():
-            if page_size == page_size_hint:
-                continue
             entry = l1.lookup(self._vpn(va, page_size), page_size, asid)
             if entry is not None:
                 return entry, "L1"

@@ -218,8 +218,9 @@ class TestBitExactVsBatched:
         assert _machine_state(batched) == _machine_state(col)
 
     def test_back_to_back_sweeps_second_is_warm(self):
-        """A repeated sweep sees its own fills: windows must fall back
-        (condition A) and still match the batched engine exactly."""
+        """A repeated sweep sees its own fills: every row of the second
+        sweep is a TLB hit row, runs columnar, and still matches the
+        batched engine exactly."""
         batched = Machine.linux(seed=11)
         col = Machine.linux(seed=11)
         base = batched.process.mmap(64)
@@ -231,7 +232,55 @@ class TestBitExactVsBatched:
         rc = col.core.probe_sweep(vas, rounds=2, engine="columnar")
         assert np.array_equal(rb, rc)
         assert _machine_state(batched) == _machine_state(col)
-        assert col.core.last_sweep.fallback_rows > 0
+        assert col.core.last_sweep.engine == "columnar"
+        assert col.core.last_sweep.columnar_rows == len(vas)
+        assert col.core.last_sweep.fallback_rows == 0
+        assert col.core.last_sweep.reason is None
+
+    @staticmethod
+    def _three_way(prepare, **kwargs):
+        """``prepare`` a machine and return the VAs to sweep; run that
+        sweep on per-op, batched and columnar twins and compare them."""
+        machines = {}
+        for engine in ("per-op", "batched", "columnar"):
+            machine = Machine.linux(cpu="i7-1065G7", seed=17)
+            vas = prepare(machine)
+            result = machine.core.probe_sweep(vas, engine=engine, **kwargs)
+            machines[engine] = (machine, result)
+        (perop, __), (batched, rb), (col, rc) = (
+            machines["per-op"], machines["batched"], machines["columnar"])
+        assert np.array_equal(rb, rc)
+        assert _machine_state(batched) == _machine_state(col)
+        assert _machine_state(perop) == _machine_state(col)
+        assert col.core.last_sweep.fallback_rows == 0
+        return col
+
+    def test_hit_rows_take_the_cached_flags(self):
+        """Pages dirtied behind the TLB's back: a store that hits the
+        stale clean entry still takes the dirty-bit assist."""
+        def prepare(machine):
+            base = machine.process.mmap(40)
+            vas = [base + i * 4096 for i in range(40)]
+            machine.core.probe_sweep(vas, rounds=1, warm=False,
+                                     engine="per-op")
+            for va in vas[:8]:
+                machine.core.address_space.page_table.set_flag(
+                    va, PageFlags.DIRTY)
+            return vas
+        col = self._three_way(prepare, rounds=1, warm=False, op="store")
+        assert col.core.perf.read("ASSISTS.ANY") == 40
+
+    def test_stlb_hit_rows_on_2m_pages(self):
+        """2 MiB kernel entries evicted from L1 only (as an interrupt
+        storm does) hit the sTLB, are promoted, then hit L1."""
+        def prepare(machine):
+            base = machine.kernel.base
+            vas = [base + i * (2 << 20) for i in range(-8, 32)]
+            machine.core.probe_sweep(vas, rounds=1, engine="per-op")
+            machine.core.tlb.l1[2 << 20].flush()
+            return vas
+        col = self._three_way(prepare, rounds=1, warm=True)
+        assert col.core.perf.read("DTLB_LOAD_MISSES.STLB_HIT") >= 20
 
     def test_duplicate_pages_fall_back_bit_exact(self):
         batched = Machine.linux(seed=13)
@@ -384,11 +433,13 @@ def _tlb_buckets(tlb):
 def _fuzz_pools(machine):
     """The address populations a sweep draws from."""
     base = machine.process.mmap(96)
+    slots = _base_vas(machine)
+    kernel = slots.index(machine.kernel.base)
     return {
         "modules": [layout.MODULE_START + i * 4096 for i in range(1024)],
         "mapped": [base + i * 4096 for i in range(96)],
         "unmapped": [base + (96 + 32 + i) * 4096 for i in range(64)],
-        "slots": _base_vas(machine)[:96],
+        "slots": slots[max(0, kernel - 16):kernel + 48],
     }
 
 
@@ -406,12 +457,14 @@ def _fuzz_vas(draw, pools):
                               max_size=4, unique=True))
         pool = [va for kind in kinds for va in pools[kind]]
         picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=32,
-                              max_size=240))
+                              max_size=240, unique=draw(st.booleans())))
         vas = [pool[i] for i in picks]
         if draw(st.booleans()):
             vas.sort()
-    for index in draw(st.lists(st.integers(0, len(vas) - 1), max_size=3)):
-        vas[index] += draw(st.sampled_from([64, 2048, 4065, 4088]))
+    if draw(st.integers(0, 3)) == 0:
+        for index in draw(st.lists(st.integers(0, len(vas) - 1),
+                                   max_size=3)):
+            vas[index] += draw(st.sampled_from([64, 2048, 4065, 4088]))
     return vas
 
 
@@ -419,7 +472,8 @@ class TestDifferentialFuzz:
     """Random machines driven through *sequences* of sweeps.
 
     Each example boots three twin machines (random CPU, KPTI, chaos
-    profile) and runs the same steps on each with the per-op, batched
+    profile; ``hostile`` flushes L1 alone, which leaves sTLB hits) and
+    runs the same steps on each with the per-op, batched
     and columnar engines: fresh sweeps, a sweep repeated back to back, a
     load pass followed by a store pass over the same pages (the SGX
     break's two passes), kernel-mode TLB fills under KPTI's PCID tag,
@@ -435,8 +489,8 @@ class TestDifferentialFuzz:
     def test_sweep_sequences_agree(self, data):
         cpu = data.draw(st.sampled_from(FUZZ_CPUS), label="cpu")
         kpti = data.draw(st.booleans(), label="kpti")
-        chaos = data.draw(st.sampled_from([None, "default", "rerandomizing"]),
-                          label="chaos")
+        chaos = data.draw(st.sampled_from(
+            [None, "default", "hostile", "rerandomizing"]), label="chaos")
         seed = data.draw(st.integers(0, 2**16), label="seed")
         machines = {engine: Machine.linux(cpu=cpu, seed=seed, kpti=kpti,
                                           chaos=chaos)
@@ -459,8 +513,11 @@ class TestDifferentialFuzz:
                     machine.core.kernel_touch(vas)
                 continue
             if step == "dirty":
-                vas = data.draw(st.lists(st.sampled_from(pools["mapped"]),
-                                         min_size=1, max_size=8))
+                swept = [va for va in (sweep or {}).get("vas", ())
+                         if va in pools["mapped"]]
+                vas = data.draw(st.lists(
+                    st.sampled_from(swept or pools["mapped"]),
+                    min_size=1, max_size=8))
                 for machine in machines.values():
                     page_table = machine.core.address_space.page_table
                     for va in vas:
