@@ -97,7 +97,8 @@ class AttemptRecord:
 
     def __init__(self, index, outcome, detail="", disturbances=0):
         self.index = index
-        #: "ok", "calibration-rejected", "drift", "rerandomized",
+        #: "ok", "low-confidence" (completed below the reporting bar),
+        #: "calibration-rejected", "drift", "rerandomized",
         #: "budget-exceeded" or "error"
         self.outcome = outcome
         self.detail = detail
@@ -136,7 +137,8 @@ class Verdict:
         self.status = status
         #: the attack's headline answer (kernel base, module dict, ...)
         self.value = value
-        #: the raw attack result object of the final attempt (or None)
+        #: the raw attack result object of the reported attempt: the one
+        #: that found, else the most confident one below the bar (or None)
         self.result = result
         self.confidence = confidence
         self.retries = retries
@@ -315,6 +317,8 @@ class AttackSupervisor:
 
         attempts = []
         value, result, confidence = None, None, 0.0
+        #: the most confident completed attempt below the reporting bar
+        best = None
         status = FAILED
         with obs.span("supervised-attack", attack=attack):
             for attempt in range(self.max_retries + 1):
@@ -349,15 +353,32 @@ class AttackSupervisor:
                         ))
                         attempt_span.set(outcome=outcome)
                         break
-                    attempts.append(self._record(
-                        attempt, "ok", "", chaos, mark
-                    ))
-                    attempt_span.set(outcome="ok")
                     if value is not None and confidence >= FOUND_CONFIDENCE:
+                        attempts.append(self._record(
+                            attempt, "ok", "", chaos, mark
+                        ))
+                        attempt_span.set(outcome="ok")
                         status = FOUND
-                    else:
-                        status = ABSTAIN
-                    break
+                        break
+                    # completed below the bar: a fresh attempt may see a
+                    # quieter machine, so retry while retries remain
+                    attempts.append(self._record(
+                        attempt, "low-confidence",
+                        "confidence {:.2f}".format(confidence), chaos, mark
+                    ))
+                    attempt_span.set(outcome="low-confidence")
+                    if best is None or confidence > best[2]:
+                        best = (value, result, confidence)
+                    if attempt < self.max_retries:
+                        obs.event("retry", attempt=attempt,
+                                  outcome="low-confidence",
+                                  detail=attempts[-1].detail)
+                        if obs.enabled:
+                            obs.metrics.inc("supervisor.retries")
+                        self._backoff(attempt)
+        if status != FOUND and best is not None:
+            status = ABSTAIN
+            value, result, confidence = best
 
         retries = max(0, len(attempts) - 1)
         disturbances = (

@@ -24,14 +24,14 @@ CELLS = {
                    "c60994bd825ee788baa13233135c0645"),
     "windows": (0, "71977cb9fd3a4b89655eeff5ebcd34ee"
                    "86ec5a561f01466e51b10a7ecf812ac1"),
-    "userspace": (1, "04d9f3d6da318b63b3a8045f213adbbe"
-                     "86a4b7d24e8fc684abf558b2b72378b5"),
+    "userspace": (0, "b9e4bd7b6d4426f7a673395c299d0ba7"
+                     "14fcebfbb94dd2c420db3e940a937603"),
     "cloud": (0, "c3382623282c4bdfd3c29f4093388fc2"
                  "21c4070807ab0d638007bee9a0883757"),
-    "sgx": (1, "8fbec8eba5b517f7fc9f32b3146ebe3b"
-               "5b9216c16f05eeb01300fa660737c4b3"),
-    "fingerprint": (1, "d48c88394212b4957808f1282a491b8f"
-                       "118e4dabc376a4757dec2e74f2c87af9"),
+    "sgx": (0, "a47e8a5c3e8a6e773cae251eb4e19c6f"
+               "2299ba75929ebcfd7137813885ba14fe"),
+    "fingerprint": (0, "18d5075b5e171e3dfdaa3e6e55ebbe83"
+                       "98410db1e41ac1d7a1f753e131a55d25"),
 }
 
 

@@ -178,19 +178,49 @@ class TestOtherAttacks:
         assert verdict.probes_spent == verdict.result.simulated_probes
 
     def test_sgx_noisy_load_pass_is_not_a_confident_answer(self):
-        # seed 0: chaos sprays the load pass with hundreds of mapped
-        # runs and its code base is wrong; it must not end found
+        # seed 0: chaos sprays the first load pass with hundreds of
+        # mapped runs and its code base is wrong; with no retry left it
+        # must not end found
         machine = Machine.linux(cpu="i7-1065G7", seed=0, chaos="default")
-        verdict = supervise(machine, "sgx")
+        verdict = supervise(machine, "sgx", max_retries=0)
         assert len(verdict.result.load_runs) > 8
         assert verdict.value != machine.process.text_base
-        assert not verdict.found
+        assert verdict.status == ABSTAIN
+        assert [a.outcome for a in verdict.attempts] == ["low-confidence"]
         for seed in range(1, 6):
             machine = Machine.linux(cpu="i7-1065G7", seed=seed,
                                     chaos="default")
             verdict = supervise(machine, "sgx")
             assert verdict.status in (FOUND, ABSTAIN)
             assert verdict.value == machine.process.text_base
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_sgx_low_confidence_attempt_is_retried(self, seed):
+        # the first load pass is noisy (seed 0 wrong, seed 2 right but
+        # below the bar); a fresh attempt after the backoff finds
+        machine = Machine.linux(cpu="i7-1065G7", seed=seed, chaos="default")
+        verdict = supervise(machine, "sgx")
+        assert not (verdict.status == ABSTAIN and verdict.retries == 0)
+        assert [a.outcome for a in verdict.attempts] \
+            == ["low-confidence", "ok"]
+        assert verdict.found
+        assert verdict.value == machine.process.text_base
+
+    def test_abstain_reports_the_most_confident_attempt(self, monkeypatch):
+        from repro.attacks import supervisor as supervisor_module
+        confidences = iter([0.3, 0.45, 0.2])
+
+        def runner(sup):
+            confidence = next(confidences)
+            return confidence * 100, None, confidence
+
+        monkeypatch.setitem(supervisor_module._RUNNERS, "sgx", runner)
+        verdict = supervise(Machine.linux(seed=1), "sgx", max_retries=2)
+        assert verdict.status == ABSTAIN
+        assert (verdict.value, verdict.confidence) == (45.0, 0.45)
+        assert verdict.retries == 2
+        assert [a.outcome for a in verdict.attempts] \
+            == ["low-confidence"] * 3
 
     def test_windows_attack_needs_windows(self):
         machine = Machine.linux(seed=0)
