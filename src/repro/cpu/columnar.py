@@ -63,6 +63,8 @@ the next disturbance, the event fires at exactly the per-op clock value,
 and the remainder recompiles against the disturbed machine state.
 """
 
+import collections
+
 import numpy as np
 
 from repro.cpu import engine as _engine
@@ -284,7 +286,7 @@ def _set_overflows(tlb, vpn, size_code, fill_mask, hit_entries, hit_l2):
     """Condition D: does a set holding a hit entry receive more
     insertions (fills and sTLB promotions) than it has free ways?"""
     stlb = tlb.stlb
-    inserts = {}
+    inserts = collections.Counter()
     fill_rows = np.flatnonzero(fill_mask)
     for code, size in enumerate(_PROBE_SIZES):
         vpns = vpn[fill_rows[size_code[fill_rows] == code]]
@@ -295,19 +297,17 @@ def _set_overflows(tlb, vpn, size_code, fill_mask, hit_entries, hit_l2):
         for array in arrays:
             sets, counts = np.unique(vpns % array.sets, return_counts=True)
             for set_index, count in zip(sets.tolist(), counts.tolist()):
-                key = (id(array), set_index)
-                inserts[key] = inserts.get(key, 0) + count
+                inserts[id(array), set_index] += count
     touched = []
     for entry, l2 in zip(hit_entries, hit_l2.tolist()):
         l1 = tlb.l1[entry.page_size]
         if l2:
-            key = (id(l1), entry.vpn % l1.sets)
-            inserts[key] = inserts.get(key, 0) + 1
+            inserts[id(l1), entry.vpn % l1.sets] += 1
             touched.append((stlb, entry.vpn % stlb.sets))
         else:
             touched.append((l1, entry.vpn % l1.sets))
     return any(
-        inserts.get((id(array), set_index), 0)
+        inserts[id(array), set_index]
         > array.ways - len(array._sets[set_index])
         for array, set_index in touched
     )
@@ -378,12 +378,13 @@ def _compile(core, vas, op):
         matches = np.isin(
             cand, np.fromiter(visible, dtype=np.int64, count=len(visible))
         )
-        count = matches.sum(axis=0)
-        if (count > 1).any():
-            return "multi-hit"
-        hit = count == 1
-        hit_rows = np.flatnonzero(hit)
-        hit_keys = cand[matches[:, hit_rows].argmax(axis=0), hit_rows]
+        if matches.any():
+            count = matches.sum(axis=0)
+            if (count > 1).any():
+                return "multi-hit"
+            hit = count == 1
+            hit_rows = np.flatnonzero(hit)
+            hit_keys = cand[matches[:, hit_rows].argmax(axis=0), hit_rows]
     fill_mask = present & ~hit \
         & (out.user | cpu.fills_tlb_for_supervisor_user_probe)
     fill_keys = (vpn * 4 + size_code)[fill_mask]
@@ -454,14 +455,16 @@ def _compile(core, vas, op):
     rows = np.arange(n)
     plan.term_node = plan.node_ids[T, rows]
     plan.term_idx = plan.idx_all[T, rows]
-    walking = np.flatnonzero(~hit) if hit_rows.size else rows
+    node_ids, levels = plan.node_ids, T
+    term_node, term_line = plan.term_node, plan.term_idx >> 3
+    walking = rows
+    if hit_rows.size:
+        walking = np.flatnonzero(~hit)
+        node_ids, levels = node_ids[:, walking], levels[walking]
+        term_node, term_line = term_node[walking], term_line[walking]
     plan.run_first = np.zeros(n, dtype=bool)
     plan.boundary = walking
     if walking.size:
-        node_ids = plan.node_ids[:, walking]
-        levels = T[walking]
-        term_node = plan.term_node[walking]
-        term_line = plan.term_idx[walking] >> 3
         run_first = np.empty(walking.size, dtype=bool)
         run_first[0] = True
         run_first[1:] = (

@@ -13,7 +13,8 @@ probe loops of the paper.  It is the oracle.
 simulator's own steady-state property to skip almost all ops:
 
 * the **first** access to a VA changes microarchitectural state (TLB
-  fill, PSC fill, paging lines turning hot) and has a distinct latency;
+  fill or LRU refresh, PSC fill, paging lines turning hot) and has a
+  distinct latency;
 * the **second** access runs against the settled state, and every access
   after it is *idempotent*: identical cycles, identical performance-
   counter deltas, no further state change.
@@ -244,7 +245,9 @@ class SweepReport:
     prove safe count as ``fallback_rows``).  ``reason`` says why a
     sweep ran whole on the row loop: ``"forced"`` (``engine="batched"``),
     ``"short-sweep"`` (auto selection below the columnar floor) or a
-    columnar delegation reason such as ``"tracing"``.
+    columnar delegation reason such as ``"tracing"``; for a columnar
+    sweep it names the first window the compiler rejected (such as
+    ``"tlb-set-overflow"`` or ``"page-span"``), None if none was.
     """
 
     __slots__ = ("engine", "columnar_rows", "fallback_rows", "windows",

@@ -21,12 +21,15 @@ accurate when changing this file):
   LRU-first / MRU-last.  ``lookup`` refreshes by move-to-back,
   ``fill`` evicts ``bucket[0]``.  There is no other metadata -- the
   list order IS the replacement state, which is what lets the columnar
-  engine replay a window of fills as ``(bucket + fills)[-ways:]``;
+  engine replay a window as ``(untouched + touched)[-ways:]``: the
+  entries no row refreshed, in order, then the filled, promoted and
+  refreshed ones in row order;
 * re-filling an already-cached ``(vpn, page_size)`` replaces in place
   and refreshes, and notably matches *regardless of asid* (hardware
   replaces the stale tagged entry rather than duplicating it);
 * a lookup that hits refreshes only the hit array; sTLB hits are
-  additionally promoted into L1 by :meth:`TwoLevelTLB.lookup`.
+  additionally promoted into L1 by :meth:`TwoLevelTLB.lookup`, which
+  probes (and counts) L1 then the sTLB in 4 KiB, 2 MiB, 1 GiB order.
 """
 
 from repro.mmu.address import PAGE_SIZE, PAGE_SIZE_1G, PAGE_SIZE_2M

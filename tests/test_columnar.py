@@ -17,10 +17,16 @@ The contract under test (see :meth:`repro.cpu.core.Core.probe_sweep`):
   oracle: classification outcomes, clock, perf counters and TLB stats
   agree (noise values differ only because the vectorized RNG consumes
   the stream in a different order);
+* **TLB-resident rows stay columnar** -- rows that hit translations an
+  earlier sweep cached (the SGX break's store pass after its load pass)
+  run in the compiled plan;
 * **graceful fallback** -- windows the compiler cannot prove safe
-  (duplicate pages, already-cached translations) run through the per-op
-  row loop *inside* the same sweep and stay bit-exact; whole-sweep
-  delegation triggers for tracing and zero-mask-NOP hardware.
+  (duplicate pages, a cached entry's set that would overflow, vectors
+  spanning two pages) run through the per-op row loop *inside* the same
+  sweep, stay bit-exact and name their reason; whole-sweep delegation
+  triggers for tracing and zero-mask-NOP hardware;
+* **random sequences** -- a differential fuzzer drives all three
+  engines through random sweep sequences on random machines.
 """
 
 import numpy as np
@@ -32,7 +38,7 @@ from repro.attacks.kaslr_break import break_kaslr, break_kaslr_intel
 from repro.attacks.module_detect import detect_modules
 from repro.attacks.primitives import double_probe_load, double_probe_store
 from repro.attacks.supervisor import supervise
-from repro.attacks.userspace import find_user_code_base
+from repro.attacks.userspace import find_user_code_base, scan_rw_pages
 from repro.cpu import columnar
 from repro.errors import AddressError
 from repro.machine import Machine
@@ -561,6 +567,80 @@ class TestDifferentialFuzz:
                 assert (perop.chaos.schedule_digest()
                         == batched.chaos.schedule_digest()
                         == col.chaos.schedule_digest())
+
+
+class TestRejectionReason:
+    """``SweepReport.reason`` names the first window the proof rejected."""
+
+    @staticmethod
+    def _pages(machine, count):
+        base = machine.process.mmap(count)
+        return [base + i * 4096 for i in range(count)]
+
+    def _twins(self, prepare):
+        reports = {}
+        for engine in ("batched", "columnar"):
+            machine = Machine.linux(cpu="i7-1065G7", seed=29)
+            vas = prepare(machine)
+            result = machine.core.probe_sweep(vas, rounds=2, engine=engine)
+            reports[engine] = (result, _machine_state(machine),
+                               machine.core.last_sweep)
+        assert np.array_equal(reports["batched"][0], reports["columnar"][0])
+        assert reports["batched"][1] == reports["columnar"][1]
+        return reports["columnar"][2]
+
+    def test_dense_reprobe_window_reports_set_overflow(self):
+        """Re-probing the tail of a scan that filled the sTLB: its hit
+        rows sit in full sets that the new pages' fills would evict."""
+        def prepare(machine):
+            pages = self._pages(machine, 1800)
+            machine.core.probe_sweep(pages[:1600], rounds=2)
+            return pages[1500:1700]
+        report = self._twins(prepare)
+        assert report.engine == "columnar"
+        assert report.fallback_rows == 200
+        assert report.reason == "tlb-set-overflow"
+
+    @pytest.mark.parametrize("reason", ["duplicate-key", "page-span"])
+    def test_other_rejections_report_their_reason(self, reason):
+        def prepare(machine):
+            pages = self._pages(machine, 64)
+            if reason == "page-span":
+                pages[10] += 4070
+            return pages + pages if reason == "duplicate-key" else pages
+        report = self._twins(prepare)
+        assert report.reason == reason
+        assert report.columnar_rows == 0
+
+    def test_fully_columnar_sweep_reports_none(self):
+        report = self._twins(lambda machine: self._pages(machine, 64))
+        assert report.engine == "columnar"
+        assert report.fallback_rows == 0
+        assert report.reason is None
+
+
+class TestSgxStorePassCoverage:
+    """The SGX break's masked-store pass over the pages its load pass
+    just cached (Section IV-F) runs columnar, bit-identical to batched."""
+
+    @pytest.mark.parametrize("cpu", ["i7-1065G7", "i9-9900", "i7-6600U",
+                                     "i7-1185G7"])
+    def test_store_sweep_is_columnar(self, cpu):
+        outcomes = {}
+        for engine in ("batched", None):
+            machine = Machine.linux(cpu=cpu, seed=7)
+            machine.create_enclave()
+            find_user_code_base(machine, engine=engine)
+            scan = scan_rw_pages(machine, engine=engine)
+            report = machine.core.last_sweep
+            outcomes[engine] = (scan.mapped_runs, scan.per_probe_cycles,
+                                _machine_state(machine),
+                                machine.core.rng.bit_generator.state)
+        assert outcomes["batched"] == outcomes[None]
+        rows = report.columnar_rows + report.fallback_rows
+        assert report.engine == "columnar"
+        assert report.columnar_rows >= 0.9 * rows
+        assert scan.mapped_runs
 
 
 class TestSelectionAndDelegation:
