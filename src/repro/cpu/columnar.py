@@ -639,38 +639,35 @@ def _replay_buckets(tlb, plan, done, hits):
     asid = tlb.active_asid
     stlb = tlb.stlb
     pending = {}
-
-    def touch(array, entry, refresh):
-        set_index = entry.vpn % array.sets
-        events = pending.setdefault((id(array), set_index),
-                                    (array, set_index, [], set()))
-        events[2].append(entry)
-        if refresh:
-            events[3].add(id(entry))
-
+    refreshed = set()
     hit_index = dict(zip(plan.hit_rows[:hits].tolist(), range(hits)))
     rows = np.flatnonzero(plan.fill_mask[:done] | plan.hit[:done])
-    for row in rows.tolist():
+    for row, vpn, pfn, size in zip(rows.tolist(), plan.vpn[rows].tolist(),
+                                   plan.pfn[rows].tolist(),
+                                   plan.page_size[rows].tolist()):
         k = hit_index.get(row)
-        if k is not None:
+        if k is None:
+            entry = TLBEntry(vpn, pfn, plan.flag_objs[row], size, False,
+                             asid)
+            arrays = (tlb.l1[size],) if size == PAGE_SIZE_1G \
+                else (tlb.l1[size], stlb)
+        else:
             entry = plan.hit_entries[k]
+            vpn = entry.vpn
             l1 = tlb.l1[entry.page_size]
-            if plan.hit_l2[k]:
-                touch(stlb, entry, True)
-                touch(l1, entry, False)
+            arrays = (stlb, l1) if plan.hit_l2[k] else (l1,)
+            refreshed.add((arrays[0], id(entry)))
+        for array in arrays:
+            key = (array, vpn % array.sets)
+            events = pending.get(key)
+            if events is None:
+                pending[key] = [entry]
             else:
-                touch(l1, entry, True)
-            continue
-        size = int(plan.page_size[row])
-        entry = TLBEntry(int(plan.vpn[row]), int(plan.pfn[row]),
-                         plan.flag_objs[row], size, False, asid)
-        touch(tlb.l1[size], entry, False)
-        if size != PAGE_SIZE_1G:
-            touch(stlb, entry, False)
-    for array, set_index, entries, refreshed in pending.values():
+                events.append(entry)
+    for (array, set_index), entries in pending.items():
         bucket = array._sets[set_index]
         if refreshed:
-            bucket = [e for e in bucket if id(e) not in refreshed]
+            bucket = [e for e in bucket if (array, id(e)) not in refreshed]
         array._sets[set_index] = (bucket + entries)[-array.ways:]
 
 
