@@ -255,8 +255,8 @@ def _tlb_index(tlb):
     entry; the two sets hold the cached keys of every tag.
     """
     asid = tlb.active_asid
-    index = []
-    for arrays in (list(tlb.l1.values()), [tlb.stlb]):
+
+    def scan(arrays):
         visible = {}
         keys = set()
         for array in arrays:
@@ -266,8 +266,10 @@ def _tlb_index(tlb):
                     keys.add(key)
                     if entry.asid == asid or entry.is_global:
                         visible[key] = entry
-        index.append((visible, keys))
-    (l1_visible, l1_keys), (stlb_visible, stlb_keys) = index
+        return visible, keys
+
+    l1_visible, l1_keys = scan(tlb.l1.values())
+    stlb_visible, stlb_keys = scan([tlb.stlb])
     return l1_visible, stlb_visible, l1_keys, l1_keys | stlb_keys
 
 
@@ -297,17 +299,17 @@ def _set_overflows(tlb, vpn, size_code, fill_mask, hit_entries, hit_l2):
         for array in arrays:
             sets, counts = np.unique(vpns % array.sets, return_counts=True)
             for set_index, count in zip(sets.tolist(), counts.tolist()):
-                inserts[id(array), set_index] += count
+                inserts[array, set_index] += count
     touched = []
     for entry, l2 in zip(hit_entries, hit_l2.tolist()):
         l1 = tlb.l1[entry.page_size]
         if l2:
-            inserts[id(l1), entry.vpn % l1.sets] += 1
+            inserts[l1, entry.vpn % l1.sets] += 1
             touched.append((stlb, entry.vpn % stlb.sets))
         else:
             touched.append((l1, entry.vpn % l1.sets))
     return any(
-        inserts[id(array), set_index]
+        inserts[array, set_index]
         > array.ways - len(array._sets[set_index])
         for array, set_index in touched
     )
