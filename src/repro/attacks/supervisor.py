@@ -58,6 +58,12 @@ FAILED = "failed"
 #: confidence at or above which a non-None value is reported as FOUND
 FOUND_CONFIDENCE = 0.5
 
+#: attacks whose attempt below FOUND_CONFIDENCE ends the run at once:
+#: the modules decode scores how many /proc/modules entries it resolved,
+#: not whether they sit where it reports them, so under chaos a retry
+#: turns an abstention into a confident misplaced map
+NO_LOW_CONFIDENCE_RETRY = frozenset({"modules"})
+
 #: base simulated-cycle pause before a retry (doubles per retry)
 BACKOFF_BASE_CYCLES = 40_000
 
@@ -97,8 +103,9 @@ class AttemptRecord:
 
     def __init__(self, index, outcome, detail="", disturbances=0):
         self.index = index
-        #: "ok", "low-confidence" (completed below the reporting bar),
-        #: "calibration-rejected", "drift", "rerandomized",
+        #: "ok" (completed; the verdict says whether it cleared the
+        #: reporting bar), "low-confidence" (completed below the bar and
+        #: retried), "calibration-rejected", "drift", "rerandomized",
         #: "budget-exceeded" or "error"
         self.outcome = outcome
         self.detail = detail
@@ -352,13 +359,22 @@ class AttackSupervisor:
                             attempt, outcome, exc, chaos, mark
                         ))
                         attempt_span.set(outcome=outcome)
+                        # a budget or error break fails the run, whatever
+                        # an earlier attempt completed below the bar
+                        best = None
                         break
-                    if value is not None and confidence >= FOUND_CONFIDENCE:
+                    found = value is not None \
+                        and confidence >= FOUND_CONFIDENCE
+                    if not found and (best is None or confidence > best[2]):
+                        best = (value, result, confidence)
+                    if found or attempt == self.max_retries \
+                            or attack in NO_LOW_CONFIDENCE_RETRY:
                         attempts.append(self._record(
                             attempt, "ok", "", chaos, mark
                         ))
                         attempt_span.set(outcome="ok")
-                        status = FOUND
+                        if found:
+                            status = FOUND
                         break
                     # completed below the bar: a fresh attempt may see a
                     # quieter machine, so retry while retries remain
@@ -367,15 +383,12 @@ class AttackSupervisor:
                         "confidence {:.2f}".format(confidence), chaos, mark
                     ))
                     attempt_span.set(outcome="low-confidence")
-                    if best is None or confidence > best[2]:
-                        best = (value, result, confidence)
-                    if attempt < self.max_retries:
-                        obs.event("retry", attempt=attempt,
-                                  outcome="low-confidence",
-                                  detail=attempts[-1].detail)
-                        if obs.enabled:
-                            obs.metrics.inc("supervisor.retries")
-                        self._backoff(attempt)
+                    obs.event("retry", attempt=attempt,
+                              outcome="low-confidence",
+                              detail=attempts[-1].detail)
+                    if obs.enabled:
+                        obs.metrics.inc("supervisor.retries")
+                    self._backoff(attempt)
         if status != FOUND and best is not None:
             status = ABSTAIN
             value, result, confidence = best

@@ -124,9 +124,9 @@ SUPERVISED_GOLDEN = {
     "modules/default/11/i5-12400F":
         "d4b28e48c7cfa07b93e53e13fac2cd866c81d64fbda1b90e7fe819d612c0562a",
     "modules/hostile/0/i5-12400F":
-        "a69f2812c7559ec4617e9cb4163ab64407c3f734aae95f1cf476d3f8d6f75336",
+        "c0e7a488544042c2a42800d867b427faf2120b5bec5a48702f9287a83b77c481",
     "modules/hostile/11/i5-12400F":
-        "4fb151075a8074c997469965fda3ffb2b1abb36033337ebc32d23ec31282317b",
+        "920c56a197c16e6514c1e9a246d285d11c1303d07a8ce27549af506f45654325",
     "modules/rerandomizing/0/i5-12400F":
         "1e8ad843690172c9728942598056193e75ed62ba947e45407ac70eff408007c9",
     "kaslr/default/0/ryzen5-5600X":

@@ -186,7 +186,7 @@ class TestOtherAttacks:
         assert len(verdict.result.load_runs) > 8
         assert verdict.value != machine.process.text_base
         assert verdict.status == ABSTAIN
-        assert [a.outcome for a in verdict.attempts] == ["low-confidence"]
+        assert [a.outcome for a in verdict.attempts] == ["ok"]
         for seed in range(1, 6):
             machine = Machine.linux(cpu="i7-1065G7", seed=seed,
                                     chaos="default")
@@ -206,21 +206,65 @@ class TestOtherAttacks:
         assert verdict.found
         assert verdict.value == machine.process.text_base
 
-    def test_abstain_reports_the_most_confident_attempt(self, monkeypatch):
+    @staticmethod
+    def _scripted(monkeypatch, attack, steps):
+        """Replace ``attack``'s runner by one that plays ``steps``:
+        a confidence (value = confidence * 100) or an exception."""
         from repro.attacks import supervisor as supervisor_module
-        confidences = iter([0.3, 0.45, 0.2])
+        steps = iter(steps)
 
         def runner(sup):
-            confidence = next(confidences)
-            return confidence * 100, None, confidence
+            step = next(steps)
+            if isinstance(step, Exception):
+                raise step
+            return step * 100, None, step
 
-        monkeypatch.setitem(supervisor_module._RUNNERS, "sgx", runner)
+        monkeypatch.setitem(supervisor_module._RUNNERS, attack, runner)
+
+    def test_abstain_reports_the_most_confident_attempt(self, monkeypatch):
+        self._scripted(monkeypatch, "sgx", [0.3, 0.45, 0.2])
         verdict = supervise(Machine.linux(seed=1), "sgx", max_retries=2)
         assert verdict.status == ABSTAIN
         assert (verdict.value, verdict.confidence) == (45.0, 0.45)
         assert verdict.retries == 2
         assert [a.outcome for a in verdict.attempts] \
-            == ["low-confidence"] * 3
+            == ["low-confidence", "low-confidence", "ok"]
+
+    @pytest.mark.parametrize("exc,outcome", [
+        (ProbeBudgetExceeded("over budget", probes_spent=101),
+         "budget-exceeded"),
+        (AttackError("broken"), "error"),
+    ])
+    def test_budget_or_error_after_low_confidence_fails(
+            self, monkeypatch, exc, outcome):
+        # the break that ends the run decides: a failed verdict, as
+        # without the earlier below-bar attempt
+        self._scripted(monkeypatch, "sgx", [0.3, exc])
+        verdict = supervise(Machine.linux(seed=1), "sgx", max_retries=2)
+        assert verdict.status == FAILED
+        assert (verdict.value, verdict.confidence) == (None, 0.0)
+        assert [a.outcome for a in verdict.attempts] \
+            == ["low-confidence", outcome]
+
+    def test_rejected_retries_after_low_confidence_abstain(self, monkeypatch):
+        self._scripted(monkeypatch, "sgx", [
+            0.3, CalibrationError("noisy"), CalibrationError("noisy"),
+        ])
+        verdict = supervise(Machine.linux(seed=1), "sgx", max_retries=2)
+        assert verdict.status == ABSTAIN
+        assert (verdict.value, verdict.confidence) == (30.0, 0.3)
+        assert [a.outcome for a in verdict.attempts] == [
+            "low-confidence", "calibration-rejected", "calibration-rejected",
+        ]
+
+    def test_modules_below_the_bar_is_not_retried(self, monkeypatch):
+        # its confidence counts resolved modules, not right ones, so a
+        # retry could only trade the abstention for a misplaced map
+        self._scripted(monkeypatch, "modules", [0.3, 0.9])
+        verdict = supervise(Machine.linux(seed=1), "modules", max_retries=2)
+        assert verdict.status == ABSTAIN
+        assert (verdict.value, verdict.retries) == (30.0, 0)
+        assert [a.outcome for a in verdict.attempts] == ["ok"]
 
     def test_windows_attack_needs_windows(self):
         machine = Machine.linux(seed=0)
