@@ -41,7 +41,10 @@ a one-shard campaign -- the merge folds those records in first.
 """
 
 import collections
+import os
 import pathlib
+import select
+import signal
 import threading
 import time
 
@@ -370,16 +373,32 @@ class ShardedCampaignRunner:
                 beat_root=str(self.journal.path.parent),
                 beat_prefix=self.journal.path.stem + ".beats-",
             ))
-        for shard in self._shard_objs:
-            shard.start()
-        for shard in self._shard_objs:
-            # bounded waits: a SIGTERM that lands on a worker thread only
-            # runs its Python handler (the drain) once the main thread
-            # returns to the interpreter, which an unbounded join
-            # would postpone until the campaign had finished; the bound
-            # is the drain's latency, short next to a ~10 ms unit
-            while not shard.join(timeout=0.02):
-                pass
+        # A signal that lands on another thread runs its Python handler
+        # (the drain) only once the main thread returns to the
+        # interpreter.  So the main thread sleeps in select() on a pipe
+        # that every shard exit writes to and that is also the signal
+        # wakeup fd: either event wakes it at once.
+        wake_r, self._exit_fd = os.pipe()
+        os.set_blocking(self._exit_fd, False)
+        try:
+            previous = signal.set_wakeup_fd(self._exit_fd)
+        except ValueError:
+            previous = None  # not the main thread: no handler runs here
+        try:
+            for shard in self._shard_objs:
+                shard.start()
+            if previous is not None:
+                # a shard's state leaves RUNNING before its exit byte
+                while any(shard.alive for shard in self._shard_objs):
+                    select.select([wake_r], [], [])
+                    os.read(wake_r, 4096)
+            for shard in self._shard_objs:
+                shard.join()
+        finally:
+            if previous is not None:
+                signal.set_wakeup_fd(previous)
+            os.close(wake_r)
+            os.close(self._exit_fd)
 
     def _make_fault_hook(self, index):
         def on_fire(kind, **detail):
@@ -477,6 +496,10 @@ class ShardedCampaignRunner:
             self._backlogs[shard.index].extend(outstanding)
         # survivors steal the requeued units, or learn they are done
         self._wake.ring()
+        try:
+            os.write(self._exit_fd, b"\0")
+        except BlockingIOError:
+            pass  # the pipe is full: the main thread is awake anyway
         if shard.state == DEAD:
             self.emit_event(
                 "shard-quarantined", shard=shard.index,
