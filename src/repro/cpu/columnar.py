@@ -273,17 +273,6 @@ def _tlb_index(tlb):
     return l1_visible, stlb_visible, l1_keys, l1_keys | stlb_keys
 
 
-def _hit_assist(cpu, flags, op):
-    """``(has_assist, cycles)`` of a hit row, from the cached flags."""
-    if op == "load":
-        return (False, 0) if flags.user else (True, cpu.assist_load)
-    if not flags.user or not flags.writable:
-        return True, cpu.assist_store
-    if not flags.dirty:
-        return True, cpu.assist_dirty
-    return False, 0
-
-
 def _set_overflows(tlb, vpn, size_code, fill_mask, hit_entries, hit_l2):
     """Condition D: does a set holding a hit entry receive more
     insertions (fills and sTLB promotions) than it has free ways?"""
@@ -447,10 +436,14 @@ def _compile(core, vas, op):
             np.where(~out.user | ~out.writable, cpu.assist_store,
                      np.where(~out.dirty, cpu.assist_dirty, 0)),
         )
+    # a hit row's assist comes from the cached entry's flags, which a
+    # chaos remap may have left behind the page table
+    avx = core.avx
     for row, entry, l2 in zip(hit_rows.tolist(), hit_entries,
                               hit_l2.tolist()):
-        plan.has_assist[row], plan.assist[row] = _hit_assist(
-            cpu, entry.flags, op)
+        kind = avx._page_assist(entry, False, op == "store")
+        plan.has_assist[row] = kind is not None
+        plan.assist[row] = avx._assist_cost(kind) if kind else 0
         plan.trans_base[row] = cpu.tlb_hit_l2 if l2 else cpu.tlb_hit_l1
 
     # -- run / group decomposition over the walking rows -------------------
