@@ -46,10 +46,10 @@ closed-form clock/perf replay are applied per window instead of per op.
 
 Anything the proof does not cover -- ineligible windows, non-canonical
 or page-spanning addresses, zero-mask-NOP hardware, disabled or
-undersized PSC/line caches, active tracing -- falls back to the per-op
-reference row loop (:func:`repro.cpu.engine.sweep_rows`), window by
-window, inside the same sweep.  Both paths write the same
-:class:`~repro.cpu.engine.SweepState` and share one
+undersized PSC/line caches -- falls back to the per-op reference row
+loop (:func:`repro.cpu.engine.sweep_rows`), window by window, inside
+the same sweep; traced windows report the metrics its ops would.  Both
+paths write the same :class:`~repro.cpu.engine.SweepState` and share one
 :func:`~repro.cpu.engine.finalize_sweep`, which is what keeps the
 columnar path *bit-identical* to the batched engine: same measured
 matrix, same clock, same performance counters, same TLB/PSC/line-cache
@@ -239,7 +239,7 @@ class _Plan:
                  "term_idx", "run_first", "boundary", "trans_base",
                  "op_base", "assist", "has_assist", "fill_mask", "walks2",
                  "vpn", "pfn", "flag_objs", "page_size", "size_code", "hit",
-                 "hit_rows", "hit_entries", "hit_l2")
+                 "hit_rows", "hit_entries", "hit_l2", "user")
 
 
 #: the page-size order of :meth:`repro.mmu.tlb.TwoLevelTLB.lookup`'s
@@ -408,6 +408,7 @@ def _compile(core, vas, op):
     plan.n = n
     plan.T = T
     plan.present = present
+    plan.user = out.user
     plan.idx_all = np.stack(idx_cols)
     plan.node_ids = out.node_ids
     plan.vpn = vpn
@@ -477,7 +478,7 @@ def _compile(core, vas, op):
 
 
 def _sim_boundary(core, plan, row, walk1_extra):
-    """Replay row ``row``'s real replacement-state interaction.
+    """Replay (and trace) row ``row``'s real replacement-state interaction.
 
     Run-first rows issue the walker's exact PSC probe / line accesses /
     PSC fills; group-first rows touch just the (new) terminal line.
@@ -492,19 +493,26 @@ def _sim_boundary(core, plan, row, walk1_extra):
     if not plan.run_first[row]:
         hot = lines.access(int(plan.term_node[row]), int(plan.term_idx[row]))
         walk1_extra[row] = timing.access_hot if hot else timing.access_cold
+        if walker.obs is not None and walker.obs.enabled:
+            walker.record_walk(int(plan.T[row]), int(plan.trans_base[row]
+                               + walk1_extra[row]), 1, int(not hot),
+                               int(plan.T[row]))
         return
     terminal = int(plan.T[row])
     indices = tuple(int(x) for x in plan.idx_all[:, row])
     psc = walker.psc
     hit = psc.deepest_hit(indices)
     start = min(hit + 1, terminal) if hit is not None else 0
-    extra = 0
-    for level in range(start, terminal + 1):
-        hot = lines.access(int(plan.node_ids[level, row]), indices[level])
-        extra += timing.access_hot if hot else timing.access_cold
+    hot = [lines.access(int(plan.node_ids[level, row]), indices[level])
+           for level in range(start, terminal + 1)]
+    cold = hot.count(False)
+    extra = timing.access_hot * (len(hot) - cold) + timing.access_cold * cold
     for position in range(start, terminal):
         psc.fill(indices, position, int(plan.node_ids[position + 1, row]))
     walk1_extra[row] = extra
+    if walker.obs is not None and walker.obs.enabled:
+        walker.record_walk(terminal, int(plan.trans_base[row]) + extra,
+                           terminal + 1 - start, cold, start)
 
 
 def _row_cycles(core, plan, walk1_extra, lo, hi, ops_per_va):
@@ -741,13 +749,33 @@ def _apply_accounting(core, plan, state, walk1_extra, done, seg_start,
         _replay_buckets(tlb, plan, done, hits)
 
 
+def _trace_window(core, plan, state, done, seg_start, second_op):
+    """Trace executed plan rows [0, done) as the row loop would: steady
+    cycles per page class, and the hot terminal-level walks
+    :func:`_sim_boundary` leaves out (an interior row's first op; with
+    ``second_op``, the second op of a row that did not fill or hit)."""
+    obs = core.obs
+    if obs.enabled:
+        for size, user, cycles in zip(
+                (plan.page_size[:done] * plan.present[:done]).tolist(),
+                plan.user[:done].tolist(),
+                state.steady[seg_start:seg_start + done].tolist()):
+            _engine.observe_probe_cycles(obs.metrics, size, user, cycles)
+    walker = core.walker
+    if walker.obs is None or not walker.obs.enabled:
+        return
+    interior = ~plan.hit[:done]
+    interior[plan.boundary[plan.boundary < done]] = False
+    rows = np.concatenate([np.flatnonzero(interior),
+                           np.flatnonzero(plan.walks2[:done] & second_op)])
+    for terminal, cycles in zip(
+            plan.T[rows].tolist(),
+            (plan.trans_base[rows] + walker.timing.access_hot).tolist()):
+        walker.record_walk(terminal, cycles, 1, 0, terminal)
+
+
 def _delegate_reason(core):
     """Whole-sweep conditions the columnar model does not cover."""
-    if core.obs.enabled:
-        return "tracing"
-    walker_obs = core.walker.obs
-    if walker_obs is not None and walker_obs.enabled:
-        return "walker-tracing"
     if core.avx.zero_mask_nop:
         return "zero-mask-nop"
     walker = core.walker
@@ -758,21 +786,6 @@ def _delegate_reason(core):
     if walker.line_cache._lines.capacity < 1:
         return "line-capacity"
     return None
-
-
-def _batched_sweep(core, vas, rounds, op, warm, reduce):
-    """The batched engine: the whole sweep on the per-op row loop."""
-    n = len(vas)
-    obs = core.obs
-    if obs.enabled:
-        obs.metrics.inc("engine.sweeps")
-        obs.metrics.inc("engine.probes", n * rounds)
-    with obs.span("probe-sweep", vas=n, rounds=rounds, op=op, warm=warm):
-        chaos = core.chaos if (core.chaos is not None and core.chaos.active) \
-            else None
-        state = _engine.SweepState(n, rounds, chaos)
-        _engine.sweep_rows(core, vas, rounds, op, warm, state, 0, n)
-        return _engine.finalize_sweep(core, state, warm, reduce)
 
 
 def columnar_sweep(core, vas, rounds, op="load", warm=True, reduce="mean",
@@ -787,60 +800,58 @@ def columnar_sweep(core, vas, rounds, op="load", warm=True, reduce="mean",
 
     ``fallback`` names a reason to run the whole sweep on the row loop
     -- the batched engine (``"forced"``, ``"short-sweep"``); whole-sweep
-    conditions the columnar model does not cover (tracing, zero-mask-NOP
-    hardware, ...) delegate the same way.  Records a
+    conditions the columnar model does not cover (zero-mask-NOP
+    hardware, ...) make it one rejected window.  Records a
     :class:`~repro.cpu.engine.SweepReport` as ``core.last_sweep``; its
     ``reason`` names the first window rejection of a columnar sweep.
     """
     n = len(vas)
-    reason = fallback or _delegate_reason(core)
-    if reason is None:
+    whole = fallback or _delegate_reason(core)
+    if whole is None:
         try:
             vas_u64 = np.array(vas, dtype=np.uint64)
         except (OverflowError, TypeError, ValueError):
-            reason = "unrepresentable-vas"
-    if reason is not None:
-        result = _batched_sweep(core, vas, rounds, op, warm, reduce)
-        core.last_sweep = _engine.SweepReport("batched", fallback_rows=n,
-                                              reason=reason)
-        return result
-
+            whole = "unrepresentable-vas"
+    obs = core.obs
+    if obs.enabled:
+        obs.metrics.inc("engine.sweeps")
+        obs.metrics.inc("engine.probes", n * rounds)
     chaos = core.chaos if (core.chaos is not None and core.chaos.active) \
         else None
-    state = _engine.SweepState(n, rounds, chaos)
-    columnar_rows = 0
-    fallback_rows = 0
-    windows = 0
-    reason = None
-    start = 0
-    while start < n:
-        if chaos is not None:
-            core.chaos_poll()
-        end = min(n, start + WINDOW_ROWS)
-        plan = _compile(core, vas_u64[start:end], op)
-        if isinstance(plan, str):
-            reason = reason or plan
-            _engine.sweep_rows(core, vas, rounds, op, warm, state, start, end)
-            fallback_rows += end - start
-            start = end
-            continue
-        windows += 1
-        deadline = chaos.next_deadline() if chaos is not None else None
-        done, walk1_extra = _run_window(core, plan, state, rounds, warm,
-                                        start, deadline)
-        _apply_accounting(core, plan, state, walk1_extra, done, start,
-                          rounds, warm, op)
-        if chaos is not None:
-            state.spike_col[start] = core.pending_spike_cycles
-            core.pending_spike_cycles = 0
-            state.resolution[start:start + done] = core.timer_resolution
-            for row in range(start, start + done):
-                state.noise[row] = core.noise.sample_array(
-                    core.rng, (rounds,)
-                ).astype(np.int64)
-        columnar_rows += done
-        start += done
-    result = _engine.finalize_sweep(core, state, warm, reduce)
-    core.last_sweep = _engine.SweepReport("columnar", columnar_rows,
-                                          fallback_rows, windows, reason)
+    with obs.span("probe-sweep", vas=n, rounds=rounds, op=op, warm=warm):
+        state = _engine.SweepState(n, rounds, chaos)
+        columnar_rows = windows = start = 0
+        reason = whole
+        while start < n:
+            if chaos is not None:
+                core.chaos_poll()
+            end = n if whole else min(n, start + WINDOW_ROWS)
+            plan = whole or _compile(core, vas_u64[start:end], op)
+            if isinstance(plan, str):
+                reason = reason or plan
+                _engine.sweep_rows(core, vas, rounds, op, warm, state, start,
+                                   end)
+                start = end
+                continue
+            windows += 1
+            deadline = chaos.next_deadline() if chaos is not None else None
+            done, walk1_extra = _run_window(core, plan, state, rounds, warm,
+                                            start, deadline)
+            _apply_accounting(core, plan, state, walk1_extra, done, start,
+                              rounds, warm, op)
+            _trace_window(core, plan, state, done, start, warm or rounds > 1)
+            if chaos is not None:
+                state.spike_col[start] = core.pending_spike_cycles
+                core.pending_spike_cycles = 0
+                state.resolution[start:start + done] = core.timer_resolution
+                for row in range(start, start + done):
+                    state.noise[row] = core.noise.sample_array(
+                        core.rng, (rounds,)
+                    ).astype(np.int64)
+            columnar_rows += done
+            start += done
+        result = _engine.finalize_sweep(core, state, warm, reduce)
+    core.last_sweep = _engine.SweepReport(
+        "batched" if whole else "columnar", columnar_rows,
+        n - columnar_rows, windows, reason)
     return result

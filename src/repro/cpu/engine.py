@@ -51,19 +51,17 @@ from repro.mmu.address import PAGE_SIZE, PAGE_SIZE_1G, PAGE_SIZE_2M
 _PAGE_SUFFIX = {PAGE_SIZE: "4k", PAGE_SIZE_2M: "2m", PAGE_SIZE_1G: "1g"}
 
 
-def _page_class(translation):
-    """Histogram label for one probed VA: mapping kind + page size.
+def observe_probe_cycles(metrics, page_size, user, cycles):
+    """Record one probed VA's steady ``cycles`` under its page class:
+    mapping kind plus page size, or ``unmapped`` without a ``page_size``.
 
     The per-page-class split is what makes the forensics report useful:
     a misclassification shows up as probe cycles landing in the wrong
     class's distribution.
     """
-    if translation is None:
-        return "unmapped"
-    kind = "user" if translation.flags.user else "kernel"
-    return "{}-{}".format(
-        kind, _PAGE_SUFFIX.get(translation.page_size, "other")
-    )
+    label = "unmapped" if not page_size else "{}-{}".format(
+        "user" if user else "kernel", _PAGE_SUFFIX.get(page_size, "other"))
+    metrics.observe("engine.probe_cycles." + label, cycles)
 
 
 class SweepState:
@@ -158,9 +156,9 @@ def sweep_rows(core, vas, rounds, op, warm, state, lo, hi):
         core.clock.advance(per_va_overhead)
         if obs.enabled:
             translation = core.address_space.page_table.lookup(va).translation
-            obs.metrics.observe(
-                "engine.probe_cycles." + _page_class(translation),
-                int(steady[i]),
+            observe_probe_cycles(
+                obs.metrics, translation and translation.page_size,
+                translation and translation.flags.user, int(steady[i]),
             )
 
 
@@ -245,7 +243,7 @@ class SweepReport:
     prove safe count as ``fallback_rows``).  ``reason`` says why a
     sweep ran whole on the row loop: ``"forced"`` (``engine="batched"``),
     ``"short-sweep"`` (auto selection below the columnar floor) or a
-    columnar delegation reason such as ``"tracing"``; for a columnar
+    whole-sweep condition such as ``"zero-mask-nop"``; for a columnar
     sweep it names the first window the compiler rejected (such as
     ``"tlb-set-overflow"`` or ``"page-span"``), None if none was.
     """

@@ -165,17 +165,7 @@ class PageTableWalker:
             self.perf.increment("DTLB_LOAD_MISSES.WALK_COMPLETED")
             self.perf.increment("DTLB_LOAD_MISSES.WALK_DURATION", cycles)
         if self.obs is not None and self.obs.enabled:
-            metrics = self.obs.metrics
-            metrics.inc("walker.walks")
-            metrics.inc("walker.accesses", accesses)
-            metrics.inc("walker.cold_accesses", cold)
-            metrics.observe("walker.depth", terminal + 1,
-                            buckets=DEPTH_BUCKETS)
-            metrics.observe("walker.cycles", cycles)
-            if self.use_psc:
-                metrics.inc("walker.psc_lookups")
-                if start_level > 0:
-                    metrics.inc("walker.psc_hits")
+            self.record_walk(terminal, cycles, accesses, cold, start_level)
         return WalkResult(
             translation=lookup.translation,
             terminal_level=terminal,
@@ -184,6 +174,19 @@ class PageTableWalker:
             cold_accesses=cold,
             start_level=start_level,
         )
+
+    def record_walk(self, terminal, cycles, accesses, cold, start_level):
+        """Add one walk to the ``walker.*`` metrics of the enabled obs."""
+        metrics = self.obs.metrics
+        metrics.inc("walker.walks")
+        metrics.inc("walker.accesses", accesses)
+        metrics.inc("walker.cold_accesses", cold)
+        metrics.observe("walker.depth", terminal + 1, buckets=DEPTH_BUCKETS)
+        metrics.observe("walker.cycles", cycles)
+        if self.use_psc:
+            metrics.inc("walker.psc_lookups")
+            if start_level > 0:
+                metrics.inc("walker.psc_hits")
 
     def invalidate_address(self, va):
         """INVLPG side effects on the walker's caches."""

@@ -23,8 +23,10 @@ The contract under test (see :meth:`repro.cpu.core.Core.probe_sweep`):
 * **graceful fallback** -- windows the compiler cannot prove safe
   (duplicate pages, a cached entry's set that would overflow, vectors
   spanning two pages) run through the per-op row loop *inside* the same
-  sweep, stay bit-exact and name their reason; whole-sweep delegation
-  triggers for tracing and zero-mask-NOP hardware;
+  sweep, stay bit-exact and name their reason; zero-mask-NOP hardware
+  delegates the whole sweep;
+* **traced sweeps stay columnar** -- with a tracer attached, columnar
+  windows report the same metrics and spans as the row loop;
 * **random sequences** -- a differential fuzzer drives all three
   engines through random sweep sequences on random machines.
 """
@@ -43,6 +45,7 @@ from repro.cpu import columnar
 from repro.errors import AddressError
 from repro.machine import Machine
 from repro.mmu.flags import PageFlags
+from repro.obs import Tracer
 from repro.os.linux import layout
 
 CPUS = ["i5-12400F", "i7-1065G7", "ryzen5-5600X"]
@@ -487,7 +490,9 @@ class TestDifferentialFuzz:
     and columnar agree bit for bit (matrix, clock, PMU, TLB image,
     walker, RNG, chaos schedule); per-op agrees on clock, PMU, TLB
     buckets, walker and chaos schedule, and on the TLB hit/miss counters
-    while no sweep has replayed more than two ops per address.
+    while no sweep has replayed more than two ops per address.  With
+    ``traced`` drawn, a tracer on the batched and columnar twins must
+    also record equal metrics and spans after every step.
     """
 
     @settings(max_examples=16, deadline=None)
@@ -501,6 +506,10 @@ class TestDifferentialFuzz:
         machines = {engine: Machine.linux(cpu=cpu, seed=seed, kpti=kpti,
                                           chaos=chaos)
                     for engine in ("per-op", "batched", "columnar")}
+        tracers = {}
+        if data.draw(st.booleans(), label="traced"):
+            tracers = {engine: Tracer().attach(machines[engine])
+                       for engine in ("batched", "columnar")}
         pools = {engine: _fuzz_pools(machine)
                  for engine, machine in machines.items()}
         assert pools["per-op"] == pools["batched"] == pools["columnar"]
@@ -567,6 +576,11 @@ class TestDifferentialFuzz:
                 assert (perop.chaos.schedule_digest()
                         == batched.chaos.schedule_digest()
                         == col.chaos.schedule_digest())
+            if tracers:
+                assert (tracers["batched"].metrics.as_dict()
+                        == tracers["columnar"].metrics.as_dict())
+                assert (tracers["batched"]._records
+                        == tracers["columnar"]._records)
 
 
 class TestRejectionReason:
@@ -677,14 +691,33 @@ class TestSelectionAndDelegation:
         assert machine.core.last_sweep.reason == "zero-mask-nop"
         assert np.array_equal(rb, rc)
 
-    def test_tracing_delegates(self, tmp_path):
-        from repro.obs.trace import Tracer
-        machine = Machine.linux(seed=1)
-        Tracer(str(tmp_path / "t.jsonl")).attach(machine)
-        machine.core.probe_sweep(_module_vas(machine)[:64], rounds=2,
-                                 engine="columnar")
-        assert machine.core.last_sweep.engine == "batched"
-        assert machine.core.last_sweep.reason == "tracing"
+    @pytest.mark.parametrize("chaos", [None, "default"])
+    @pytest.mark.parametrize("target", sorted(TARGETS))
+    def test_traced_sweep_runs_columnar(self, target, chaos):
+        """A traced sweep stays on the columnar engine, and its windows
+        report the metrics and spans the row loop reports."""
+        make_vas, kwargs = TARGETS[target]
+        runs = {}
+        for engine in ("batched", "columnar"):
+            machine = Machine.linux(cpu="i7-1065G7", seed=42, chaos=chaos)
+            tracer = Tracer().attach(machine)
+            result = machine.core.probe_sweep(make_vas(machine),
+                                              engine=engine, **kwargs)
+            records = [r for r in tracer.finish()
+                       if r["type"] in ("span", "event")]
+            runs[engine] = (result, _machine_state(machine),
+                            tracer.metrics.as_dict(), records)
+        batched, col = runs["batched"], runs["columnar"]
+        assert np.array_equal(batched[0], col[0])
+        assert batched[1:] == col[1:]
+        metrics = col[2]
+        assert metrics["counters"]["walker.walks"] > 0
+        assert any(name.startswith("engine.probe_cycles.")
+                   for name in metrics["histograms"])
+        assert [r["name"] for r in col[3] if r["type"] == "span"] \
+            == ["probe-sweep"]
+        assert machine.core.last_sweep.engine == "columnar"
+        assert machine.core.last_sweep.fallback_rows == 0
 
 
 class TestAttackLevelEquivalence:
