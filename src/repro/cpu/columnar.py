@@ -818,7 +818,8 @@ def columnar_sweep(core, vas, rounds, op="load", warm=True, reduce="mean",
         obs.metrics.inc("engine.probes", n * rounds)
     chaos = core.chaos if (core.chaos is not None and core.chaos.active) \
         else None
-    with obs.span("probe-sweep", vas=n, rounds=rounds, op=op, warm=warm):
+    with obs.span("probe-sweep", vas=n, rounds=rounds, op=op,
+                  warm=warm) as span:
         state = _engine.SweepState(n, rounds, chaos)
         columnar_rows = windows = start = 0
         reason = whole
@@ -850,8 +851,8 @@ def columnar_sweep(core, vas, rounds, op="load", warm=True, reduce="mean",
                     ).astype(np.int64)
             columnar_rows += done
             start += done
-        result = _engine.finalize_sweep(core, state, warm, reduce)
-    core.last_sweep = _engine.SweepReport(
-        "batched" if whole else "columnar", columnar_rows,
-        n - columnar_rows, windows, reason)
-    return result
+        report = core.last_sweep = _engine.SweepReport(
+            "batched" if whole else "columnar", columnar_rows,
+            n - columnar_rows, windows, reason)
+        span.set(**{name: getattr(report, name) for name in report.__slots__})
+        return _engine.finalize_sweep(core, state, warm, reduce)

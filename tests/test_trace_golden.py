@@ -3,10 +3,12 @@
 Each cell runs one CLI command in-process with ``--trace`` and pins the
 sha256 of :func:`repro.obs.canonical_bytes` of the written trace (the
 JSONL document with its wall-clock fields stripped).  The digest covers
-every span, event, counter and histogram -- the ``probe-sweep`` spans,
-the ``engine.probe_cycles.<page class>`` and ``walker.*`` metrics, the
-chaos events and the TLB deltas -- so a change to which engine executes
-a traced sweep cannot move what the trace reports unnoticed.
+every span, event, counter and histogram -- the ``probe-sweep`` spans
+with the sweep report they carry (engine, columnar and fallback rows,
+windows, reason), the ``engine.probe_cycles.<page class>`` and
+``walker.*`` metrics, the chaos events and the TLB deltas -- so a change
+to which engine executes a traced sweep cannot move what the trace
+reports unnoticed.
 """
 
 import hashlib
@@ -19,17 +21,17 @@ from repro.obs import canonical_bytes, load_trace
 #: argv -> (exit code, sha256 of the canonical trace bytes)
 CELLS = {
     "kaslr --seed 3 --chaos-profile default": (
-        0, "d489f2733278cce88e49c61d3ca1dbf6"
-           "0d25cbd86f19065a4fd9b6bed16a13a9"),
+        0, "987a622ac22f6fb3d2a8eb8472dcce75"
+           "19a90f471e881efddb085ce3e6177143"),
     "modules --seed 5": (
-        0, "4c06ccde0dbc2c5873c507d181e7fd1e"
-           "b0ae167f34d14edc0680c0e0864e9f2c"),
+        0, "9c76830d20ce07e8a818a1f32dd5863a"
+           "6b23bb13a20e1af9d39c17fa24f3d905"),
     "chaos sgx --profile hostile --seed 1": (
-        0, "287b8a9f6bdc9cd47e09242caa8e1b3c"
-           "9627e18d13e228ee1e70ba022e046967"),
+        0, "3e62ca5da9f882f82454dcf8a0f25957"
+           "f7e140926d5a954a8bf82439cb3e3b38"),
     "chaos modules --profile hostile --seed 1": (
-        1, "3f667b4665f467860bc5f87b90fd44f2"
-           "84270a8d740f33ed7664b5bc28e27371"),
+        1, "ccb291cf305ea47f83fdc5f36f5ed395"
+           "faebcf6366fe1ddba6029fe76d67c9ba"),
 }
 
 
