@@ -251,27 +251,25 @@ class Core:
         practicality gap the paper's introduction calls out.
         """
         space = self.address_space
-        if self.rng.random() < self.cpu.prefetch_drop_prob:
-            # dropped hint: constant early-retire time, no translation
-            cycles = self.cpu.prefetch_base
-            self.clock.advance(cycles)
-            return self._observe(cycles)
-        entry, level = self.tlb.lookup(va)
-        if entry is not None:
-            translation_cycles = (
-                self.cpu.tlb_hit_l1 if level == "L1" else self.cpu.tlb_hit_l2
-            )
-        else:
-            walk = self.walker.walk(space.page_table, va)
-            translation_cycles = walk.cycles
-            if walk.translation is not None and (
-                walk.translation.flags.user
-                or self.cpu.fills_tlb_for_supervisor_user_probe
-            ):
-                self.tlb.fill(walk.translation)
-        cycles = self.cpu.prefetch_base + translation_cycles
+        cycles = self.cpu.prefetch_base
+        # a dropped hint retires early in constant time, untranslated
+        if self.rng.random() >= self.cpu.prefetch_drop_prob:
+            cycles += self._translate(space, va)
         self.clock.advance(cycles)
         return self._observe(cycles)
+
+    def _translate(self, space, va):
+        """A baseline probe's translation cycles: TLB hit, or walk + fill."""
+        entry, level = self.tlb.lookup(va)
+        if entry is not None:
+            return self.cpu.tlb_hit_l1 if level == "L1" else self.cpu.tlb_hit_l2
+        walk = self.walker.walk(space.page_table, va)
+        if walk.translation is not None and (
+            walk.translation.flags.user
+            or self.cpu.fills_tlb_for_supervisor_user_probe
+        ):
+            self.tlb.fill(walk.translation)
+        return walk.cycles
 
     def tsx_probe(self, va):
         """Intel TSX abort-timing probe (the DrK / Jang et al. baseline).
@@ -287,20 +285,7 @@ class Core:
                 .format(self.cpu.name)
             )
         space = self.address_space
-        entry, level = self.tlb.lookup(va)
-        if entry is not None:
-            translation_cycles = (
-                self.cpu.tlb_hit_l1 if level == "L1" else self.cpu.tlb_hit_l2
-            )
-        else:
-            walk = self.walker.walk(space.page_table, va)
-            translation_cycles = walk.cycles
-            if walk.translation is not None and (
-                walk.translation.flags.user
-                or self.cpu.fills_tlb_for_supervisor_user_probe
-            ):
-                self.tlb.fill(walk.translation)
-        cycles = self.cpu.tsx_abort_base + translation_cycles
+        cycles = self.cpu.tsx_abort_base + self._translate(space, va)
         self.clock.advance(cycles)
         return self._observe(cycles)
 
