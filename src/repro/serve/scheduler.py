@@ -51,6 +51,9 @@ DEFAULT_QUANTUM = 4.0
 #: default seconds a queued item may wait before aging overrides DRR
 DEFAULT_AGING_S = 30.0
 
+#: fair-share weight of a tenant the weight lookup does not know
+DEFAULT_WEIGHT = 1.0
+
 #: recent queue-wait samples retained per tenant for percentiles
 WAIT_WINDOW = 256
 
@@ -135,19 +138,17 @@ class FairShareScheduler:
 
     ``weight_of`` maps a tenant name to its fair-share weight (a
     callable, so weights can live in the tenant quota config); tenants
-    it does not know default to ``default_weight``.  ``quantum`` is the
-    credit granted per rotation visit, ``aging_s`` the wait after which
-    the oldest queued item is dispatched out of turn, and ``clock`` is
-    injectable for the starvation tests.
+    it does not know default to :data:`DEFAULT_WEIGHT`.  ``quantum`` is
+    the credit granted per rotation visit, ``aging_s`` the wait after
+    which the oldest queued item is dispatched out of turn, and ``clock``
+    is injectable for the starvation tests.
     """
 
-    def __init__(self, weight_of=None, default_weight=1.0,
-                 quantum=DEFAULT_QUANTUM, aging_s=DEFAULT_AGING_S,
-                 mode=FAIR, clock=None):
+    def __init__(self, weight_of=None, quantum=DEFAULT_QUANTUM,
+                 aging_s=DEFAULT_AGING_S, mode=FAIR, clock=None):
         if mode not in (FAIR, FIFO):
             raise ValueError("unknown scheduler mode {!r}".format(mode))
         self.weight_of = weight_of
-        self.default_weight = float(default_weight)
         self.quantum = float(quantum)
         self.aging_s = float(aging_s)
         self.mode = mode
@@ -170,12 +171,12 @@ class FairShareScheduler:
     def _tenant(self, tenant):
         queue = self._tenants.get(tenant)
         if queue is None:
-            weight = self.default_weight
+            weight = DEFAULT_WEIGHT
             if self.weight_of is not None:
                 try:
                     weight = float(self.weight_of(tenant))
                 except (TypeError, ValueError):
-                    weight = self.default_weight
+                    weight = DEFAULT_WEIGHT
             queue = self._tenants[tenant] = _TenantQueue(tenant, weight)
         return queue
 

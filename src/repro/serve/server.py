@@ -58,6 +58,9 @@ from repro.serve import overload, protocol
 from repro.serve.backend import ServeBackend, Submission
 from repro.serve.quota import QuotaLedger
 
+#: how often serve_forever re-evaluates watermarks and prunes, seconds
+HOUSEKEEP_S = 60.0
+
 
 class _Connection:
     """One client session: a reader thread plus a locked writer."""
@@ -191,7 +194,7 @@ class ServeServer:
     def __init__(self, backend=None, ledger=None, socket_path=None,
                  host="127.0.0.1", port=0, max_queue=256,
                  write_timeout_s=5.0, ready_file=None, obs=None,
-                 state_dir=None, governor=None, housekeep_s=60.0):
+                 state_dir=None, governor=None):
         if backend is None:
             if state_dir is None:
                 raise ServeError("a server needs a backend or a state_dir")
@@ -219,8 +222,6 @@ class ServeServer:
         self._draining = threading.Event()
         self._drained = threading.Event()
         self._stop = threading.Event()
-        #: how often serve_forever re-evaluates watermarks and prunes
-        self.housekeep_s = housekeep_s
         self.governor = governor if governor is not None \
             else overload.default_governor(self)
         # the scheduler's fairness knobs come from the quota config:
@@ -296,7 +297,7 @@ class ServeServer:
             # tick the watermarks even without traffic, so hysteresis
             # relaxes an idle-but-degraded server back to healthy
             self.governor.evaluate()
-            if time.monotonic() - last_housekeep >= self.housekeep_s:
+            if time.monotonic() - last_housekeep >= HOUSEKEEP_S:
                 self.backend.housekeep()
                 last_housekeep = time.monotonic()
         self.drain()
