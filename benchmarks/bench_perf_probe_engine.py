@@ -6,7 +6,7 @@ paths are identical by construction -- see tests/test_probe_engine.py):
 * the Figure-4 512-slot KASLR sweep at distribution quality (16 rounds
   per slot, the kind of sweep the per-slot timing statistics need),
 * the Table-I attacks (base break on three CPUs, module detection),
-  ``engine="batched"`` vs ``engine="per-op"``, with the recovered
+  the batched vs the per-op sweep engine, with the recovered
   outcomes cross-checked,
 * the full scenario suite, per-op serial (the pre-engine execution
   model) vs the shipped ``suite --jobs 4`` invocation.
@@ -54,10 +54,16 @@ def _kernel_slot_vas():
     ]
 
 
+def _on(machine, engine):
+    """``machine``, its core's sweeps pinned to ``engine``."""
+    machine.core.sweep_engine = engine
+    return machine
+
+
 def _fig4_sweep(engine):
-    machine = Machine.linux(seed=4)
+    machine = _on(Machine.linux(seed=4), engine)
     machine.core.probe_sweep(_kernel_slot_vas(), rounds=SWEEP_ROUNDS,
-                             op="load", engine=engine)
+                             op="load")
 
 
 def _bench_fig4():
@@ -84,14 +90,14 @@ def _bench_table1():
     ):
         if target == "base":
             def attack(engine):
-                machine = Machine.linux(cpu=cpu, seed=seed)
-                result = break_kaslr(machine, engine=engine)
+                machine = _on(Machine.linux(cpu=cpu, seed=seed), engine)
+                result = break_kaslr(machine)
                 assert result.base == machine.kernel.base
                 return result.base
         else:
             def attack(engine):
-                machine = Machine.linux(cpu=cpu, seed=seed)
-                result = detect_modules(machine, engine=engine)
+                machine = _on(Machine.linux(cpu=cpu, seed=seed), engine)
+                result = detect_modules(machine)
                 assert region_accuracy(result, machine.kernel) >= 0.98
                 return sorted(result.identified.items())
         reference = attack("per-op")
@@ -132,8 +138,8 @@ def _user_scan_machine_and_vas():
 
 def _scan_arm(vas_of, op, rounds, engine):
     machine, vas = vas_of()
-    machine.core.probe_sweep(vas, rounds=rounds, op=op, warm=False,
-                             reduce="min", engine=engine)
+    _on(machine, engine).core.probe_sweep(vas, rounds=rounds, op=op,
+                                          warm=False, reduce="min")
 
 
 def _bench_columnar():
@@ -160,9 +166,7 @@ def _bench_columnar():
             "speedup_vs_per_op": round(per_op / columnar, 2),
             "speedup_vs_batched": round(batched / columnar, 2),
         }
-    fig4_columnar = _wall(lambda: Machine.linux(seed=4).core.probe_sweep(
-        _kernel_slot_vas(), rounds=SWEEP_ROUNDS, op="load",
-        engine="columnar"))
+    fig4_columnar = _wall(lambda: _fig4_sweep("columnar"))
     sections["fig4_sweep"] = {
         "slots": layout.KERNEL_TEXT_SLOTS,
         "rounds": SWEEP_ROUNDS,

@@ -11,6 +11,11 @@ resulting distribution.
 
 import math
 
+#: the store threshold sits this many noise sigmas above the calibrated
+#: mean, plus a fixed cycle margin
+SLACK_SIGMAS = 3.0
+SLACK_CYCLES = 2.0
+
 
 class ThresholdCalibration:
     """Result of the self-calibration step."""
@@ -47,21 +52,19 @@ def robust_stats(values):
     return median, mean, math.sqrt(var)
 
 
-def calibrate_store_threshold(machine, samples=600, slack_sigmas=3.0,
-                              slack_cycles=2.0, engine=None):
+def calibrate_store_threshold(machine, samples=600):
     """Measure the masked store on the attacker's clean USER-M page.
 
     Returns a :class:`ThresholdCalibration` whose threshold sits a few
     noise sigmas above the measured mean -- i.e. between the kernel-mapped
-    and kernel-unmapped timing modes.  ``engine`` selects the sweep
-    executor (:meth:`repro.cpu.core.Core.probe_sweep`).
+    and kernel-unmapped timing modes.
     """
     values = list(machine.core.probe_sweep(
         [machine.playground.user_rw], rounds=samples, op="store",
-        warm=False, reduce=None, engine=engine,
+        warm=False, reduce=None,
     )[0])
     __, mean, std = robust_stats(values)
-    threshold = mean + slack_sigmas * max(std, 1.0) + slack_cycles
+    threshold = mean + SLACK_SIGMAS * max(std, 1.0) + SLACK_CYCLES
     return ThresholdCalibration(mean, std, threshold, samples)
 
 

@@ -53,7 +53,7 @@ class CloudBreakResult:
 
 
 def audit_cloud(provider=None, seed=0, machine=None,
-                detect_kernel_modules=True, engine=None):
+                detect_kernel_modules=True):
     """Run the paper's attack suite against one cloud instance.
 
     Boots ``provider``'s instance from ``seed``, or audits ``machine``
@@ -65,7 +65,7 @@ def audit_cloud(provider=None, seed=0, machine=None,
     rounds = machine.cpu.rounds_default
 
     if instance.os_family == "windows":
-        result = find_kernel_region(machine, engine=engine)
+        result = find_kernel_region(machine)
         return CloudBreakResult(
             provider=instance.provider,
             base=result.base,
@@ -79,15 +79,15 @@ def audit_cloud(provider=None, seed=0, machine=None,
         )
 
     if instance.kpti:
-        base_result = break_kaslr_kpti(machine, engine=engine)
+        base_result = break_kaslr_kpti(machine)
     else:
-        base_result = break_kaslr_intel(machine, engine=engine)
+        base_result = break_kaslr_intel(machine)
     probes = len(base_result.timings) * rounds
 
     modules_ms = None
     identified = None
     if detect_kernel_modules:
-        module_result = detect_modules(machine, engine=engine)
+        module_result = detect_modules(machine)
         modules_ms = module_result.probing_ms
         identified = len(module_result.identified)
         probes += layout.MODULE_SLOTS * rounds

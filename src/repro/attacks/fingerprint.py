@@ -44,7 +44,7 @@ class ApplicationFingerprinter:
     """TLB-state spy over a sentinel-module vector."""
 
     def __init__(self, machine, sentinels=SENTINEL_MODULES,
-                 hit_threshold=None, module_addresses=None, engine=None):
+                 hit_threshold=None, module_addresses=None):
         self.machine = machine
         self.core = machine.core
         cpu = machine.cpu
@@ -56,7 +56,7 @@ class ApplicationFingerprinter:
         self.hit_threshold = hit_threshold
 
         if module_addresses is None:
-            detection = detect_modules(machine, engine=engine)
+            detection = detect_modules(machine)
             module_addresses = {}
             for name in sentinels:
                 address = detection.address_of(name)

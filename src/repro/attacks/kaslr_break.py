@@ -26,6 +26,9 @@ from repro.attacks.calibrate import calibrate_store_threshold, robust_stats
 from repro.errors import AttackError
 from repro.os.linux import layout
 
+#: fewest deep-walk votes (of the five 4 KiB pages) the AMD break accepts
+MIN_VOTES = 5
+
 
 class KaslrBreakResult:
     """Outcome of one kernel-base derandomization run."""
@@ -74,17 +77,17 @@ def kaslr_variant(machine):
     return "amd"
 
 
-def break_kaslr(machine, rounds=None, calibration=None, engine=None):
+def break_kaslr(machine, rounds=None, calibration=None):
     """Dispatch to the appropriate KASLR break for this machine."""
     variant = kaslr_variant(machine)
     if variant == "kpti":
         from repro.attacks.kpti_break import break_kaslr_kpti
 
         return break_kaslr_kpti(machine, rounds=rounds,
-                                calibration=calibration, engine=engine)
+                                calibration=calibration)
     if variant == "intel":
-        return break_kaslr_intel(machine, rounds, calibration, engine=engine)
-    return break_kaslr_amd(machine, rounds, engine=engine)
+        return break_kaslr_intel(machine, rounds, calibration)
+    return break_kaslr_amd(machine, rounds)
 
 
 # -- candidates -> scan -> decode ---------------------------------------------
@@ -108,10 +111,9 @@ def amd_candidates(page_offsets=layout.KERNEL_4K_PAGE_OFFSETS):
     ]
 
 
-def scan(core, vas, rounds, engine=None):
+def scan(core, vas, rounds):
     """Time one double-probe load per candidate (mean over ``rounds``)."""
-    return list(core.probe_sweep(vas, rounds=rounds, op="load",
-                                 engine=engine))
+    return list(core.probe_sweep(vas, rounds=rounds, op="load"))
 
 
 def decode_slots(mapped, trampoline_offset=None):
@@ -140,8 +142,7 @@ def decode_votes(votes, min_votes):
 # -- the plain drivers --------------------------------------------------------
 
 
-def break_slots(machine, rounds, calibration, engine, trampoline_offset,
-                method):
+def break_slots(machine, rounds, calibration, trampoline_offset, method):
     """Double-probe all 512 slots and decode the first mapped one.
 
     The scan body shared by the Intel P2 break (``trampoline_offset``
@@ -154,10 +155,10 @@ def break_slots(machine, rounds, calibration, engine, trampoline_offset,
     total_start = core.clock.cycles
     core.run_setup()
     if calibration is None:
-        calibration = calibrate_store_threshold(machine, engine=engine)
+        calibration = calibrate_store_threshold(machine)
 
     probe_start = core.clock.cycles
-    timings = scan(core, slot_candidates(), rounds, engine)
+    timings = scan(core, slot_candidates(), rounds)
     probing_ms = core.clock.cycles_to_ms(
         core.clock.elapsed_since(probe_start)
     )
@@ -174,19 +175,14 @@ def break_slots(machine, rounds, calibration, engine, trampoline_offset,
     )
 
 
-def break_kaslr_intel(machine, rounds=None, calibration=None, engine=None):
-    """Double-probe all 512 slots and locate the first mapped run.
-
-    ``engine`` selects the sweep executor for the 512-slot sweep and the
-    calibration (:meth:`repro.cpu.core.Core.probe_sweep`).
-    """
-    return break_slots(machine, rounds, calibration, engine,
+def break_kaslr_intel(machine, rounds=None, calibration=None):
+    """Double-probe all 512 slots and locate the first mapped run."""
+    return break_slots(machine, rounds, calibration,
                        trampoline_offset=None, method="intel-p2")
 
 
 def break_kaslr_amd(machine, rounds=None,
-                    page_offsets=layout.KERNEL_4K_PAGE_OFFSETS,
-                    min_votes=5, engine=None):
+                    page_offsets=layout.KERNEL_4K_PAGE_OFFSETS):
     """Score candidate bases by the deep-walk signature of 4 KiB pages."""
     core = machine.core
     if rounds is None:
@@ -201,7 +197,7 @@ def break_kaslr_amd(machine, rounds=None,
     core.run_setup()
 
     probe_start = core.clock.cycles
-    timings = scan(core, amd_candidates(page_offsets), rounds, engine)
+    timings = scan(core, amd_candidates(page_offsets), rounds)
     probing_ms = core.clock.cycles_to_ms(
         core.clock.elapsed_since(probe_start)
     )
@@ -216,7 +212,7 @@ def break_kaslr_amd(machine, rounds=None,
         sum(1 for t in timings[i : i + width] if t > threshold)
         for i in range(0, len(timings), width)
     ]
-    base, slot = decode_votes(votes, min_votes)
+    base, slot = decode_votes(votes, MIN_VOTES)
     total_ms = core.clock.cycles_to_ms(core.clock.elapsed_since(total_start))
     return KaslrBreakResult(
         base, slot, votes, threshold, probing_ms, total_ms,

@@ -23,9 +23,9 @@ def trampoline_offset_of(kernel):
 
 
 def break_kaslr_kpti(machine, trampoline_offset=None, rounds=None,
-                     calibration=None, engine=None):
+                     calibration=None):
     """Locate the trampoline in the user table and subtract its offset."""
     if trampoline_offset is None:
         trampoline_offset = trampoline_offset_of(machine.kernel)
-    return break_slots(machine, rounds, calibration, engine,
-                       trampoline_offset, method="kpti-trampoline")
+    return break_slots(machine, rounds, calibration, trampoline_offset,
+                       method="kpti-trampoline")

@@ -101,11 +101,10 @@ def module_candidates(max_slots=layout.MODULE_SLOTS):
     ]
 
 
-def scan(core, vas, rounds, engine=None):
+def scan(core, vas, rounds):
     """Time one double-probe load per slot, min-filtered: a single spike
     must not split a module in two."""
-    return core.probe_sweep(vas, rounds=rounds, op="load", reduce="min",
-                            engine=engine)
+    return core.probe_sweep(vas, rounds=rounds, op="load", reduce="min")
 
 
 def decode_modules(mapped_flags, proc_modules, probing_ms, total_ms,
@@ -137,12 +136,11 @@ def decode_modules(mapped_flags, proc_modules, probing_ms, total_ms,
 
 
 def detect_modules(machine, rounds=None, calibration=None,
-                   max_slots=layout.MODULE_SLOTS, engine=None):
+                   max_slots=layout.MODULE_SLOTS):
     """Run the full module detection + size classification attack.
 
     ``max_slots`` restricts the scan (the full window is 16384 slots);
-    the default probes everything, like the paper.  ``engine`` selects
-    the sweep executor (:meth:`repro.cpu.core.Core.probe_sweep`).
+    the default probes everything, like the paper.
     """
     core = machine.core
     if rounds is None:
@@ -151,10 +149,10 @@ def detect_modules(machine, rounds=None, calibration=None,
     total_start = core.clock.cycles
     core.run_setup()
     if calibration is None:
-        calibration = calibrate_store_threshold(machine, engine=engine)
+        calibration = calibrate_store_threshold(machine)
 
     probe_start = core.clock.cycles
-    timings = scan(core, module_candidates(max_slots), rounds, engine)
+    timings = scan(core, module_candidates(max_slots), rounds)
     mapped_flags = [calibration.classify_mapped(t) for t in timings]
     probing_ms = core.clock.cycles_to_ms(
         core.clock.elapsed_since(probe_start)

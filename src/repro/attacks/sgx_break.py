@@ -44,7 +44,7 @@ class SgxBreakResult:
         )
 
 
-def break_aslr_from_enclave(machine, rounds=2, identify=True, engine=None):
+def break_aslr_from_enclave(machine, rounds=2, identify=True):
     """Run the full in-enclave attack: code base scan + library scan."""
     if machine.enclave is None:
         raise AttackError(
@@ -53,9 +53,9 @@ def break_aslr_from_enclave(machine, rounds=2, identify=True, engine=None):
     machine.enclave.require_timer()
 
     # pass 1 (masked load): filter out unmapped pages, find the code base
-    load_scan = find_user_code_base(machine, rounds=rounds, engine=engine)
+    load_scan = find_user_code_base(machine, rounds=rounds)
     # pass 2 (masked store): flag the read-write pages (faster per probe)
-    store_scan = scan_rw_pages(machine, rounds=rounds, engine=engine)
+    store_scan = scan_rw_pages(machine, rounds=rounds)
 
     libraries = identify_libraries(machine) if identify else None
     return SgxBreakResult(

@@ -31,10 +31,9 @@ The :class:`AttackSupervisor` closes the loop around every attack:
   unhandled disturbance exception.
 
 All supervisor-side measurements (drift checks, canaries, re-probes)
-run through the scalar per-op path whatever sweep ``engine`` the attack
-uses, so the supervised control flow advances the simulated clock
-identically under every engine and the chaos schedule stays
-engine-agnostic.
+run through the scalar per-op path whatever the core's ``sweep_engine``,
+so the supervised control flow advances the simulated clock identically
+under every engine and the chaos schedule stays engine-agnostic.
 """
 
 from repro.attacks import kaslr_break
@@ -66,6 +65,10 @@ NO_LOW_CONFIDENCE_RETRY = frozenset({"modules"})
 
 #: base simulated-cycle pause before a retry (doubles per retry)
 BACKOFF_BASE_CYCLES = 40_000
+
+#: re-probes of one scan chunk whose canaries disagree before the
+#: attempt is rejected
+MAX_CHUNK_RETRIES = 2
 
 #: |timing - threshold| at or below this marks a slot ambiguous
 AMBIGUITY_MARGIN_CYCLES = 6.0
@@ -188,14 +191,12 @@ class AttackSupervisor:
     """Run attacks with feedback, retries and structured verdicts."""
 
     def __init__(self, machine, max_retries=3, probe_budget=None,
-                 time_budget_ms=None, engine=None):
+                 time_budget_ms=None):
         self.machine = machine
         self.core = machine.core
         self.max_retries = max_retries
         self.probe_budget = probe_budget
         self.time_budget_ms = time_budget_ms
-        #: sweep executor of every attack sweep (Core.probe_sweep)
-        self.engine = engine
         self.probes_spent = 0
         self._start_cycles = None
 
@@ -245,9 +246,8 @@ class AttackSupervisor:
         core = self.core
         cpu = self.machine.cpu
         with core.obs.span("calibrate", samples=samples) as span:
-            calibration = calibrate_store_threshold(
-                self.machine, samples=samples, engine=self.engine
-            )
+            calibration = calibrate_store_threshold(self.machine,
+                                                    samples=samples)
             self.charge_probes(samples)
             std_ceiling = max(6.0 * core.noise.sigma,
                               core.timer_resolution, 12.0)
@@ -466,13 +466,13 @@ def _canary_slack(sup, calibration):
 
 
 def supervised_scan(sup, vas, rounds, calibration, take_min=False,
-                    chunk_size=64, max_chunk_retries=2):
+                    chunk_size=64):
     """Threshold scan with per-chunk canary tracking.
 
     Probes ``vas`` in chunks.  Before/after each chunk the canary pins
     the current store mode; a chunk whose canaries disagree (a DVFS
     transition or migration landed inside it) is re-probed under the
-    settled regime -- up to ``max_chunk_retries`` times, after which the
+    settled regime -- up to ``MAX_CHUNK_RETRIES`` times, after which the
     attempt is rejected with :class:`CalibrationError`.  Each timing is
     classified against a threshold re-anchored to its chunk's canary,
     which makes the scan immune to *between*-chunk regime changes
@@ -493,12 +493,11 @@ def supervised_scan(sup, vas, rounds, calibration, take_min=False,
             chunk = vas[start : start + chunk_size]
             index = start // chunk_size
             with obs.span("chunk", index=index, size=len(chunk)) as span:
-                for attempt in range(max_chunk_retries + 1):
+                for attempt in range(MAX_CHUNK_RETRIES + 1):
                     sup.charge_probes(len(chunk) * rounds)
                     chunk_t = list(core.probe_sweep(
                         chunk, rounds=rounds, op="load",
                         reduce="min" if take_min else "mean",
-                        engine=sup.engine,
                     ))
                     post = _canary(sup)
                     if abs(post - pre) <= slack:
@@ -554,8 +553,7 @@ def _run_kaslr(sup, rounds=None, variant=None):
         variant = kaslr_break.kaslr_variant(machine)
 
     if variant == "amd":
-        result = kaslr_break.break_kaslr_amd(machine, rounds=rounds,
-                                             engine=sup.engine)
+        result = kaslr_break.break_kaslr_amd(machine, rounds=rounds)
         sup.charge_probes(len(kaslr_break.amd_candidates()) * rounds)
         votes = result.timings
         if result.base is None:
@@ -688,9 +686,8 @@ def _run_windows(sup, rounds=None):
     if rounds is None:
         rounds = machine.cpu.rounds_default
     calibration = sup.checked_calibration()
-    result = find_kernel_region(
-        machine, rounds=rounds, calibration=calibration, engine=sup.engine
-    )
+    result = find_kernel_region(machine, rounds=rounds,
+                                calibration=calibration)
     sup.charge_probes(result.simulated_probes * rounds)
     sup.check_drift(calibration)
     if result.base is None:
@@ -707,9 +704,7 @@ def _run_userspace(sup, rounds=2):
     machine = sup.machine
     if machine.process is None:
         raise AttackError("the userspace attack needs a Linux process")
-    result = find_user_code_base(
-        machine, rounds=rounds, engine=sup.engine
-    )
+    result = find_user_code_base(machine, rounds=rounds)
     sup.charge_probes(result.simulated_probes)
     if result.base is None:
         return None, result, 0.0
@@ -738,8 +733,7 @@ def _run_cloud(sup, detect_kernel_modules=True):
     generation = sup._layout_generation()
     result = audit_cloud(
         machine.instance.provider, machine=machine,
-        detect_kernel_modules=detect_kernel_modules, engine=sup.engine,
-    )
+        detect_kernel_modules=detect_kernel_modules)
     sup.charge_probes(result.simulated_probes)
     sup._check_layout_stable(generation)
     if result.base is None:
@@ -757,9 +751,8 @@ def _run_sgx(sup, rounds=2, identify=True):
     machine = sup.machine
     if machine.enclave is None:
         machine.create_enclave()
-    result = break_aslr_from_enclave(
-        machine, rounds=rounds, identify=identify, engine=sup.engine
-    )
+    result = break_aslr_from_enclave(machine, rounds=rounds,
+                                     identify=identify)
     sup.charge_probes(result.simulated_probes)
     if result.code_base is None:
         return None, result, 0.0
@@ -806,8 +799,7 @@ def _run_fingerprint(sup, workload=FINGERPRINT_WORKLOAD, intervals=24,
             )
         )
     spy = ApplicationFingerprinter(
-        machine, engine=sup.engine,
-        module_addresses={s: addresses[s] for s in SENTINEL_MODULES},
+        machine, module_addresses={s: addresses[s] for s in SENTINEL_MODULES},
     )
     guess, observation, ranking = spy.identify(
         workload, profiles, intervals=intervals
@@ -873,10 +865,10 @@ def verdict_correct(verdict, truth):
 
 
 def supervise(machine, attack, max_retries=3, probe_budget=None,
-              time_budget_ms=None, engine=None, **kwargs):
+              time_budget_ms=None, **kwargs):
     """One-call convenience: build a supervisor and run one attack."""
     supervisor = AttackSupervisor(
         machine, max_retries=max_retries, probe_budget=probe_budget,
-        time_budget_ms=time_budget_ms, engine=engine,
+        time_budget_ms=time_budget_ms,
     )
     return supervisor.run(attack, **kwargs)

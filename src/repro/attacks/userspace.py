@@ -24,6 +24,13 @@ from repro.mmu.address import PAGE_SIZE
 from repro.os.linux import layout
 from repro.os.linux.libraries import LIBRARY_CATALOG
 
+#: pages 4 KiB-probed on each side of a populated region
+WINDOW_PAGES = 64
+#: evenly spaced pages probed across the whole region
+BACKGROUND_SAMPLES = 2048
+#: pages the executable's base can fall on (the 28-bit ASLR range)
+REGION_PAGES = 1 << layout.USER_ASLR_BITS
+
 
 class UserScanResult:
     """Outcome of a code-base scan."""
@@ -55,34 +62,32 @@ class UserScanResult:
         )
 
 
-def _calibrate_unmapped_boundary(machine, samples=200, use_store=False,
-                                 engine=None):
+def _calibrate_unmapped_boundary(machine, samples=200, use_store=False):
     """Self-calibrate against the attacker's own unmapped guard page."""
     values = sorted(machine.core.probe_sweep(
         [machine.playground.unmapped], rounds=samples,
         op="store" if use_store else "load", warm=False, reduce=None,
-        engine=engine,
     )[0])
     median = values[len(values) // 2]
     return median - 12
 
 
-def _sample_addresses(machine, region_start, region_pages, window_pages,
-                      background_samples):
+def _sample_addresses(machine):
     """Probe set: windows around populated areas + uniform background."""
-    region_end = region_start + region_pages * PAGE_SIZE
+    region_start = layout.USER_TEXT_REGION
+    region_end = region_start + REGION_PAGES * PAGE_SIZE
     sampled = set()
     for region in machine.process.all_regions():
         if region.end <= region_start or region.start >= region_end:
             continue
-        lo = max(region_start, region.start - window_pages * PAGE_SIZE)
-        hi = min(region_end, region.end + window_pages * PAGE_SIZE)
+        lo = max(region_start, region.start - WINDOW_PAGES * PAGE_SIZE)
+        hi = min(region_end, region.end + WINDOW_PAGES * PAGE_SIZE)
         va = lo
         while va < hi:
             sampled.add(va)
             va += PAGE_SIZE
-    stride = max(1, region_pages // background_samples)
-    for index in range(0, region_pages, stride):
+    stride = max(1, REGION_PAGES // BACKGROUND_SAMPLES)
+    for index in range(0, REGION_PAGES, stride):
         sampled.add(region_start + index * PAGE_SIZE)
     return sorted(sampled)
 
@@ -98,32 +103,24 @@ def _runs_of(addresses):
     return runs
 
 
-def _region_scan(machine, classify, op, rounds, window_pages,
-                 background_samples, mode, region_start=None,
-                 region_pages=None, engine=None):
+def _region_scan(machine, classify, op, rounds, mode):
     """Shared scan: single-probe the sample set, classify, extrapolate.
 
     Each sampled page takes ``rounds`` bare ``op`` ("load"/"store")
     probes, min-filtered.
     """
     core = machine.core
-    if region_start is None:
-        region_start = layout.USER_TEXT_REGION
-    if region_pages is None:
-        region_pages = 1 << layout.USER_ASLR_BITS
-    addresses = _sample_addresses(
-        machine, region_start, region_pages, window_pages, background_samples
-    )
+    addresses = _sample_addresses(machine)
 
     probe_start = core.clock.cycles
     best_of = core.probe_sweep(addresses, rounds=rounds, op=op, warm=False,
-                               reduce="min", engine=engine)
+                               reduce="min")
     positives = [va for va, best in zip(addresses, best_of) if classify(best)]
     elapsed = core.clock.elapsed_since(probe_start)
     per_probe = elapsed / (len(addresses) * rounds)
 
     runs = _runs_of(positives)
-    full_count = region_pages * rounds
+    full_count = REGION_PAGES * rounds
     probing_seconds = core.clock.cycles_to_seconds(
         int(per_probe * full_count)
     )
@@ -133,8 +130,7 @@ def _region_scan(machine, classify, op, rounds, window_pages,
     )
 
 
-def find_user_code_base(machine, rounds=2, window_pages=64,
-                        background_samples=2048, engine=None):
+def find_user_code_base(machine, rounds=2):
     """Scan the 0x55XXXXXXX000 region for the executable's base (P2).
 
     A single masked-load probe per page suffices here: a mapped *user*
@@ -142,16 +138,12 @@ def find_user_code_base(machine, rounds=2, window_pages=64,
     walks.  Read-write data pages need the store pass
     (:func:`scan_rw_pages`) -- the paper's two-pass combination.
     """
-    boundary = _calibrate_unmapped_boundary(machine, use_store=False,
-                                            engine=engine)
-    return _region_scan(
-        machine, lambda t: t <= boundary, "load", rounds, window_pages,
-        background_samples, mode="load", engine=engine,
-    )
+    boundary = _calibrate_unmapped_boundary(machine, use_store=False)
+    return _region_scan(machine, lambda t: t <= boundary, "load", rounds,
+                        mode="load")
 
 
-def scan_rw_pages(machine, rounds=2, window_pages=64,
-                  background_samples=2048, engine=None):
+def scan_rw_pages(machine, rounds=2):
     """The paper's second (masked-store) pass: find written data pages.
 
     A store on a dirty writable page retires with no assist at all -- far
@@ -163,10 +155,8 @@ def scan_rw_pages(machine, rounds=2, window_pages=64,
     fast_store = cpu.store_base + cpu.tlb_hit_l1
     ro_store = fast_store + cpu.assist_store
     boundary = cpu.measurement_overhead + (fast_store + ro_store) / 2
-    return _region_scan(
-        machine, lambda t: t <= boundary, "store", rounds, window_pages,
-        background_samples, mode="store-rw", engine=engine,
-    )
+    return _region_scan(machine, lambda t: t <= boundary, "store", rounds,
+                        mode="store-rw")
 
 
 class LibraryMatch:

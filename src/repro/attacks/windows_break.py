@@ -21,6 +21,14 @@ from repro.attacks.calibrate import calibrate_store_threshold
 from repro.mmu.address import PAGE_SIZE
 from repro.os.windows.kernel import layout
 
+#: region scan: 2 MiB slots probed on each side of a populated slot, and
+#: evenly spaced slots probed across the whole window
+WINDOW_SLOTS = 256
+BACKGROUND_SLOTS = 4096
+#: KVAS scan: the same two sample sizes at 4 KiB granularity
+KVAS_WINDOW_PAGES = 512
+KVAS_BACKGROUND_SLOTS = 8192
+
 
 class WindowsBreakResult:
     """Outcome of one Windows derandomization run."""
@@ -100,24 +108,22 @@ def _sample_slots(total_slots, hot_slots, window, background):
     return sorted(sampled)
 
 
-def find_kernel_region(machine, rounds=None, calibration=None,
-                       window_slots=256, background_slots=4096,
-                       engine=None):
+def find_kernel_region(machine, rounds=None, calibration=None):
     """Locate the five consecutive 2 MiB kernel slots (18 bits)."""
     core = machine.core
     if rounds is None:
         rounds = machine.cpu.rounds_default
     core.run_setup()
     if calibration is None:
-        calibration = calibrate_store_threshold(machine, engine=engine)
+        calibration = calibrate_store_threshold(machine)
 
     slots = _sample_slots(
         layout.KERNEL_SLOTS, machine.kernel.region_slots(),
-        window_slots, background_slots,
+        WINDOW_SLOTS, BACKGROUND_SLOTS,
     )
     probe_start = core.clock.cycles
     vas = [layout.KERNEL_START + slot * layout.KERNEL_ALIGN for slot in slots]
-    timings = core.probe_sweep(vas, rounds=rounds, op="load", engine=engine)
+    timings = core.probe_sweep(vas, rounds=rounds, op="load")
     verdicts = [
         (slot, calibration.classify_mapped(t))
         for slot, t in zip(slots, timings)
@@ -154,24 +160,22 @@ def find_kernel_region(machine, rounds=None, calibration=None,
     )
 
 
-def find_kvas_region(machine, rounds=1, window_pages=512,
-                     background_slots=8192, kvas_offset=layout.KVAS_OFFSET,
-                     engine=None):
+def find_kvas_region(machine, rounds=1):
     """Locate the three consecutive KVAS pages and recover the base."""
     core = machine.core
     if not machine.kernel.kvas:
         raise ValueError("find_kvas_region needs a KVAS-enabled kernel")
     core.run_setup()
-    calibration = calibrate_store_threshold(machine, engine=engine)
+    calibration = calibrate_store_threshold(machine)
 
     total_pages = (layout.KERNEL_END - layout.KERNEL_START) // PAGE_SIZE
     kvas_page = (machine.kernel.kvas_base - layout.KERNEL_START) // PAGE_SIZE
     pages = _sample_slots(
-        total_pages, [kvas_page], window_pages, background_slots
+        total_pages, [kvas_page], KVAS_WINDOW_PAGES, KVAS_BACKGROUND_SLOTS
     )
     probe_start = core.clock.cycles
     vas = [layout.KERNEL_START + page * PAGE_SIZE for page in pages]
-    timings = core.probe_sweep(vas, rounds=rounds, op="load", engine=engine)
+    timings = core.probe_sweep(vas, rounds=rounds, op="load")
     verdicts = [
         (page, calibration.classify_mapped(t))
         for page, t in zip(pages, timings)
@@ -197,7 +201,7 @@ def find_kvas_region(machine, rounds=1, window_pages=512,
     base = None
     if found:
         kvas_base = layout.KERNEL_START + found[0] * PAGE_SIZE
-        base = kvas_base - kvas_offset
+        base = kvas_base - layout.KVAS_OFFSET
     probing_seconds = core.clock.cycles_to_seconds(
         int(per_probe * total_pages)
     )

@@ -141,13 +141,9 @@ class ShardedCampaignRunner:
                  watchdog_s=DEFAULT_WATCHDOG_S, deadline_s=None,
                  max_retries=DEFAULT_MAX_RETRIES, store_path=None,
                  trace_path=None, seed=0, fault_profile=None,
-                 event_sink=None, prune_age_s=3600.0, prune_keep=4):
+                 event_sink=None):
         self.journal = CampaignJournal(journal_path)
         self.directory = directory
-        #: debris-rotation policy for start-time pruning (long-lived
-        #: deployments tune these; the serve backend passes its own)
-        self.prune_age_s = prune_age_s
-        self.prune_keep = prune_keep
         #: optional live observer: every fabric event (unit transitions,
         #: steals, quarantines, faults) is mirrored to
         #: ``event_sink(kind, fields)`` -- the serve layer streams these
@@ -208,7 +204,6 @@ class ShardedCampaignRunner:
             self.journal.path.parent,
             patterns=(self.journal.path.stem + "*.tmp",
                       self.journal.path.stem + ".beats-*"),
-            max_age_s=self.prune_age_s, keep=self.prune_keep,
         )
         records = self.journal.open()
         try:

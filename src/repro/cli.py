@@ -169,7 +169,7 @@ def _attack_spec(args):
         attack = {"kind": "cloud"}
     else:
         attack = {"kind": "sgx", "identify": True}
-    attack["engine"] = getattr(args, "engine", None)
+    attack["engine"] = args.engine
     if getattr(args, "chaos_profile", None):
         machine["chaos"] = args.chaos_profile
         name = "supervised-" + verb
@@ -727,6 +727,7 @@ def build_parser():
 
     p = subparsers.add_parser("sgx", help="in-enclave user ASLR break")
     _add_common(p, default_cpu="i7-1065G7")
+    _add_per_op(p)
     p.set_defaults(func=cmd_attack)
 
     p = subparsers.add_parser("poc", help="run the assembly PoC")

@@ -25,8 +25,8 @@ from repro.obs.trace import NULL_TRACER
 #: cycles charged for one full software eviction of the translation caches
 EVICTION_COST_CYCLES = 4200
 
-#: the executors :meth:`Core.probe_sweep` accepts (None means "auto")
-SWEEP_ENGINES = ("per-op", "batched", "columnar", "auto")
+#: the executors :attr:`Core.sweep_engine` may name (None: automatic)
+SWEEP_ENGINES = ("per-op", "batched", "columnar")
 
 
 class Core:
@@ -93,6 +93,9 @@ class Core:
         #: Tracer.attach() rebinds it, so hot paths can guard on
         #: ``self.obs.enabled`` without a None check
         self.obs = NULL_TRACER
+        #: executor of every probe_sweep: None for the automatic choice,
+        #: otherwise one of SWEEP_ENGINES (``"per-op"`` is the oracle)
+        self.sweep_engine = None
         #: :class:`~repro.cpu.engine.SweepReport` of the last probe_sweep
         self.last_sweep = None
 
@@ -150,7 +153,7 @@ class Core:
     # -- attacker-visible measurements ---------------------------------------
 
     def probe_sweep(self, vas, rounds=None, op="load", warm=True,
-                    reduce="mean", engine=None):
+                    reduce="mean"):
         """Measure every address in ``vas`` with ``rounds`` zero-mask probes.
 
         The one sweep entry point of every attack.  ``warm=True`` is the
@@ -160,7 +163,7 @@ class Core:
         ``"mean"``, ``"min"`` or None for the raw ``(len(vas), rounds)``
         matrix; ``rounds=None`` uses the CPU model's default.
 
-        ``engine`` selects the executor (see :data:`SWEEP_ENGINES`):
+        The core's :attr:`sweep_engine` selects the executor:
 
         * ``"per-op"`` -- the reference: one simulated op per probe
           (:func:`repro.cpu.engine.per_op_sweep`), the oracle;
@@ -169,7 +172,7 @@ class Core:
         * ``"columnar"`` -- struct-of-arrays windows
           (:mod:`repro.cpu.columnar`), falling back to the row loop
           window by window;
-        * None/``"auto"`` -- columnar for sweeps of at least
+        * None -- columnar for sweeps of at least
           ``COLUMNAR_MIN_VAS`` addresses, batched below.
 
         Batched and columnar are bit-identical to each other and equal
@@ -180,6 +183,7 @@ class Core:
         from repro.cpu import columnar as _columnar
         from repro.cpu import engine as _engine
 
+        engine = self.sweep_engine
         if engine is not None and engine not in SWEEP_ENGINES:
             raise ConfigError(
                 "unknown sweep engine {!r} (use one of: {})".format(

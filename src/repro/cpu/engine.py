@@ -241,11 +241,12 @@ class SweepReport:
     ran: ``"per-op"``, ``"batched"`` (the row loop over the whole sweep)
     or ``"columnar"`` (array windows; windows the compiler could not
     prove safe count as ``fallback_rows``).  ``reason`` says why a
-    sweep ran whole on the row loop: ``"forced"`` (``engine="batched"``),
-    ``"short-sweep"`` (auto selection below the columnar floor) or a
-    whole-sweep condition such as ``"zero-mask-nop"``; for a columnar
-    sweep it names the first window the compiler rejected (such as
-    ``"tlb-set-overflow"`` or ``"page-span"``), None if none was.
+    sweep ran whole on the row loop: ``"forced"`` (the core's
+    ``sweep_engine`` is ``"batched"``), ``"short-sweep"`` (automatic
+    selection below the columnar floor) or a whole-sweep condition such
+    as ``"zero-mask-nop"``; for a columnar sweep it names the first
+    window the compiler rejected (such as ``"tlb-set-overflow"`` or
+    ``"page-span"``), None if none was.
     """
 
     __slots__ = ("engine", "columnar_rows", "fallback_rows", "windows",

@@ -45,8 +45,7 @@ def _attack(name):
 def _run_kaslr(machine, params):
     from repro.attacks.kaslr_break import break_kaslr
 
-    result = break_kaslr(machine, rounds=params.get("rounds"),
-                         engine=params.get("engine"))
+    result = break_kaslr(machine, rounds=params.get("rounds"))
     return {
         "correct": result.base == machine.kernel.base,
         "base": result.base,
@@ -60,8 +59,7 @@ def _run_kaslr(machine, params):
 def _run_modules(machine, params):
     from repro.attacks.module_detect import detect_modules, region_accuracy
 
-    result = detect_modules(machine, rounds=params.get("rounds"),
-                            engine=params.get("engine"))
+    result = detect_modules(machine, rounds=params.get("rounds"))
     return {
         "correct": region_accuracy(result, machine.kernel) >= params.get(
             "min_accuracy", 0.98
@@ -78,9 +76,7 @@ def _run_kpti(machine, params):
     from repro.attacks.kpti_break import break_kaslr_kpti
 
     result = break_kaslr_kpti(
-        machine, trampoline_offset=params.get("trampoline_offset"),
-        engine=params.get("engine"),
-    )
+        machine, trampoline_offset=params.get("trampoline_offset"))
     return {
         "correct": result.base == machine.kernel.base,
         "base": result.base,
@@ -93,8 +89,7 @@ def _run_kpti(machine, params):
 def _run_windows_region(machine, params):
     from repro.attacks.windows_break import find_kernel_region
 
-    result = find_kernel_region(machine,
-                                engine=params.get("engine"))
+    result = find_kernel_region(machine)
     return {
         "correct": result.base == machine.kernel.base,
         "base": result.base,
@@ -107,8 +102,7 @@ def _run_windows_region(machine, params):
 def _run_windows_kvas(machine, params):
     from repro.attacks.windows_break import find_kvas_region
 
-    result = find_kvas_region(machine,
-                              engine=params.get("engine"))
+    result = find_kvas_region(machine)
     return {
         "correct": result.base == machine.kernel.base,
         "base": result.base,
@@ -120,8 +114,7 @@ def _run_windows_kvas(machine, params):
 def _run_user_scan(machine, params):
     from repro.attacks.userspace import find_user_code_base
 
-    result = find_user_code_base(machine,
-                                 engine=params.get("engine"))
+    result = find_user_code_base(machine)
     return {
         "correct": result.base == machine.process.text_base,
         "base": result.base,
@@ -135,9 +128,7 @@ def _run_sgx(machine, params):
 
     machine.create_enclave()
     result = break_aslr_from_enclave(
-        machine, identify=params.get("identify", False),
-        engine=params.get("engine"),
-    )
+        machine, identify=params.get("identify", False))
     return {
         "correct": result.code_base == machine.process.text_base,
         "load_seconds": result.load_seconds,
@@ -152,7 +143,7 @@ def _run_cloud(machine, params):
     if getattr(machine, "instance", None) is None:
         raise ConfigError('the "cloud" attack needs an "os": "cloud" '
                           "machine")
-    result = audit_cloud(machine=machine, engine=params.get("engine"))
+    result = audit_cloud(machine=machine)
     return {
         "correct": result.base_correct,
         "provider": result.provider,
@@ -178,7 +169,6 @@ def _run_supervised(machine, params):
         machine, attack,
         max_retries=params.pop("max_retries", 3),
         probe_budget=params.pop("probe_budget", None),
-        engine=params.pop("engine", None),
         **params,
     )
     observations = {
@@ -252,8 +242,7 @@ def _run_fingerprint(machine, params):
     from repro.workloads.apps import APP_CATALOG, ApplicationWorkload
 
     app = params.get("app", "video-call")
-    spy = ApplicationFingerprinter(machine,
-                                   engine=params.get("engine"))
+    spy = ApplicationFingerprinter(machine)
     workload = ApplicationWorkload(app, seed=params.get("victim_seed", 1))
     guess, __, __ = spy.identify(
         workload, list(APP_CATALOG.values()),
@@ -461,8 +450,16 @@ def load_scenario(scenario):
 
 
 def run_on(machine, scenario):
-    """Run a loaded scenario's attack on ``machine`` and judge it."""
+    """Run a loaded scenario's attack on ``machine`` and judge it.
+
+    The attack's ``"engine"`` param, when given, becomes the core's
+    ``sweep_engine``: every sweep of the attack runs on that executor.
+    The bootless stub has no core, and its fixtures run no sweeps.
+    """
     params = dict(scenario["attack"])
+    engine = params.pop("engine", None)
+    if engine is not None and not isinstance(machine, _StubMachine):
+        machine.core.sweep_engine = engine
     outcome = _ATTACKS[params.pop("kind")](machine, params)
     observations, verdict = (outcome if isinstance(outcome, tuple)
                              else (outcome, None))

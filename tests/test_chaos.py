@@ -14,6 +14,12 @@ from repro.errors import ConfigError
 from repro.machine import Machine
 
 
+def _on(machine, engine):
+    """``machine``, its core's sweeps pinned to ``engine``."""
+    machine.core.sweep_engine = engine
+    return machine
+
+
 def _event_log(machine):
     return machine.chaos.log_as_dicts()
 
@@ -77,8 +83,8 @@ class TestScheduleDeterminism:
     def test_per_op_and_batched_see_identical_disturbances(self):
         outcomes = []
         for engine in (None, "per-op"):
-            machine = Machine.linux(seed=7, chaos="default")
-            break_kaslr_intel(machine, engine=engine)
+            machine = _on(Machine.linux(seed=7, chaos="default"), engine)
+            break_kaslr_intel(machine)
             outcomes.append((_event_log(machine), machine.clock.cycles))
         assert outcomes[0] == outcomes[1]
 

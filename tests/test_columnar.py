@@ -2,10 +2,11 @@
 
 The contract under test (see :meth:`repro.cpu.core.Core.probe_sweep`):
 
-* **the per-op engine is the primitive loop** -- ``engine="per-op"``
-  returns exactly the values of the hand-written double/single probe
-  loops, with the same clock, counters, TLB image, RNG state and chaos
-  schedule, for every sweep shape the drivers use;
+* **the per-op engine is the primitive loop** -- a core whose
+  ``sweep_engine`` is ``"per-op"`` returns exactly the values of the
+  hand-written double/single probe loops, with the same clock,
+  counters, TLB image, RNG state and chaos schedule, for every sweep
+  shape the drivers use;
 
 * **bit-exactness vs batched** -- the columnar path produces the *same
   bytes*: measured matrix, simulated clock, performance counters, TLB
@@ -50,6 +51,12 @@ from repro.obs import Tracer
 from repro.os.linux import layout
 
 CPUS = ["i5-12400F", "i7-1065G7", "ryzen5-5600X"]
+
+
+def _on(machine, engine):
+    """``machine``, its core's sweeps pinned to ``engine``."""
+    machine.core.sweep_engine = engine
+    return machine
 
 
 def _tlb_image(tlb):
@@ -158,13 +165,14 @@ def _run_pair(target, cpu, chaos=None, seed=42):
     col = Machine.linux(cpu=cpu, seed=seed, chaos=chaos)
     vas = make_vas(batched)
     assert make_vas(col) == vas
-    rb = batched.core.probe_sweep(vas, engine="batched", **kwargs)
-    rc = col.core.probe_sweep(vas, engine="columnar", **kwargs)
+    rb = _on(batched, "batched").core.probe_sweep(vas, **kwargs)
+    rc = _on(col, "columnar").core.probe_sweep(vas, **kwargs)
     return batched, col, rb, rc
 
 
 class TestPerOpEngine:
-    """``engine="per-op"`` is exactly the primitive loops it replaces."""
+    """The per-op sweep engine is exactly the primitive loops it
+    replaces."""
 
     @pytest.mark.parametrize("chaos", [None, "default"])
     @pytest.mark.parametrize("cpu", CPUS)
@@ -176,7 +184,7 @@ class TestPerOpEngine:
         vas = make_vas(loop)
         assert make_vas(perop) == vas
         reference = _primitive_loop(loop.core, vas, **kwargs)
-        measured = perop.core.probe_sweep(vas, engine="per-op", **kwargs)
+        measured = _on(perop, "per-op").core.probe_sweep(vas, **kwargs)
         assert measured.tolist() == reference
         assert _machine_state(loop) == _machine_state(perop)
         assert (loop.core.rng.bit_generator.state
@@ -222,10 +230,10 @@ class TestBitExactVsBatched:
         batched = Machine.linux(seed=9)
         col = Machine.linux(seed=9)
         vas = _base_vas(batched)[:64]
-        rb = batched.core.probe_sweep(vas, rounds=5, warm=False, reduce=None,
-                                      engine="batched")
-        rc = col.core.probe_sweep(vas, rounds=5, warm=False, reduce=None,
-                                  engine="columnar")
+        rb = _on(batched, "batched").core.probe_sweep(
+            vas, rounds=5, warm=False, reduce=None)
+        rc = _on(col, "columnar").core.probe_sweep(
+            vas, rounds=5, warm=False, reduce=None)
         assert rb.shape == (64, 5)
         assert np.array_equal(rb, rc)
         assert _machine_state(batched) == _machine_state(col)
@@ -235,8 +243,8 @@ class TestBitExactVsBatched:
         batched = Machine.linux(seed=5)
         col = Machine.linux(seed=5)
         vas = _base_vas(batched)[:128] + _module_vas(batched)[:512]
-        rb = batched.core.probe_sweep(vas, rounds=4, engine="batched")
-        rc = col.core.probe_sweep(vas, rounds=4, engine="columnar")
+        rb = _on(batched, "batched").core.probe_sweep(vas, rounds=4)
+        rc = _on(col, "columnar").core.probe_sweep(vas, rounds=4)
         assert np.array_equal(rb, rc)
         assert _machine_state(batched) == _machine_state(col)
 
@@ -250,9 +258,9 @@ class TestBitExactVsBatched:
         assert col.process.mmap(64) == base
         vas = [base + i * 4096 for i in range(64)]
         for machine, engine in ((batched, "batched"), (col, "columnar")):
-            machine.core.probe_sweep(vas, rounds=2, engine=engine)
-        rb = batched.core.probe_sweep(vas, rounds=2, engine="batched")
-        rc = col.core.probe_sweep(vas, rounds=2, engine="columnar")
+            _on(machine, engine).core.probe_sweep(vas, rounds=2)
+        rb = _on(batched, "batched").core.probe_sweep(vas, rounds=2)
+        rc = _on(col, "columnar").core.probe_sweep(vas, rounds=2)
         assert np.array_equal(rb, rc)
         assert _machine_state(batched) == _machine_state(col)
         assert col.core.last_sweep.engine == "columnar"
@@ -268,7 +276,7 @@ class TestBitExactVsBatched:
         for engine in ("per-op", "batched", "columnar"):
             machine = Machine.linux(cpu="i7-1065G7", seed=17)
             vas = prepare(machine)
-            result = machine.core.probe_sweep(vas, engine=engine, **kwargs)
+            result = _on(machine, engine).core.probe_sweep(vas, **kwargs)
             machines[engine] = (machine, result)
         (perop, __), (batched, rb), (col, rc) = (
             machines["per-op"], machines["batched"], machines["columnar"])
@@ -284,8 +292,8 @@ class TestBitExactVsBatched:
         def prepare(machine):
             base = machine.process.mmap(40)
             vas = [base + i * 4096 for i in range(40)]
-            machine.core.probe_sweep(vas, rounds=1, warm=False,
-                                     engine="per-op")
+            _on(machine, "per-op").core.probe_sweep(vas, rounds=1,
+                                                    warm=False)
             for va in vas[:8]:
                 machine.core.address_space.page_table.set_flag(
                     va, PageFlags.DIRTY)
@@ -299,7 +307,7 @@ class TestBitExactVsBatched:
         def prepare(machine):
             base = machine.kernel.base
             vas = [base + i * (2 << 20) for i in range(-8, 32)]
-            machine.core.probe_sweep(vas, rounds=1, engine="per-op")
+            _on(machine, "per-op").core.probe_sweep(vas, rounds=1)
             machine.core.tlb.l1[2 << 20].flush()
             return vas
         col = self._three_way(prepare, rounds=1, warm=True)
@@ -309,8 +317,8 @@ class TestBitExactVsBatched:
         batched = Machine.linux(seed=13)
         col = Machine.linux(seed=13)
         vas = _module_vas(batched)[:128] * 2
-        rb = batched.core.probe_sweep(vas, rounds=2, engine="batched")
-        rc = col.core.probe_sweep(vas, rounds=2, engine="columnar")
+        rb = _on(batched, "batched").core.probe_sweep(vas, rounds=2)
+        rc = _on(col, "columnar").core.probe_sweep(vas, rounds=2)
         assert np.array_equal(rb, rc)
         assert _machine_state(batched) == _machine_state(col)
 
@@ -320,9 +328,9 @@ class TestBitExactVsBatched:
         batched = Machine.linux(seed=3)
         col = Machine.linux(seed=3)
         with pytest.raises(AddressError):
-            batched.core.probe_sweep(vas, rounds=2, engine="batched")
+            _on(batched, "batched").core.probe_sweep(vas, rounds=2)
         with pytest.raises(AddressError):
-            col.core.probe_sweep(vas, rounds=2, engine="columnar")
+            _on(col, "columnar").core.probe_sweep(vas, rounds=2)
 
 
 class TestOutcomeEqualityVsPerOp:
@@ -335,7 +343,7 @@ class TestOutcomeEqualityVsPerOp:
         vas = _base_vas(perop)[:96]
         for va in vas:
             double_probe_load(perop.core, va, rounds=4)
-        col.core.probe_sweep(vas, rounds=4, engine="columnar")
+        _on(col, "columnar").core.probe_sweep(vas, rounds=4)
         assert perop.core.clock.cycles == col.core.clock.cycles
         assert perop.core.perf.snapshot() == col.core.perf.snapshot()
         assert (perop.core.walker.completed_walks
@@ -358,9 +366,8 @@ class TestOutcomeEqualityVsPerOp:
             min(perop.core.timed_masked_store(va) for _ in range(2))
             for va in vas
         ]
-        timings = col.core.probe_sweep(vas, rounds=2, op="store",
-                                       warm=False, reduce="min",
-                                       engine="columnar")
+        timings = _on(col, "columnar").core.probe_sweep(
+            vas, rounds=2, op="store", warm=False, reduce="min")
         assert perop.core.clock.cycles == col.core.clock.cycles
         assert perop.core.perf.snapshot() == col.core.perf.snapshot()
         cut_ref = (min(reference) + max(reference)) / 2
@@ -382,8 +389,8 @@ class TestOutcomeEqualityVsPerOp:
         for va in vas:
             perop.core.chaos_poll()
             min(perop.core.timed_masked_load(va) for _ in range(2))
-        col.core.probe_sweep(vas, rounds=2, warm=False, reduce="min",
-                             engine="columnar")
+        _on(col, "columnar").core.probe_sweep(vas, rounds=2, warm=False,
+                                              reduce="min")
         assert (perop.core.chaos.schedule_digest()
                 == col.core.chaos.schedule_digest())
         assert perop.core.clock.cycles == col.core.clock.cycles
@@ -414,8 +421,8 @@ class TestTLBOccupancyProperty:
         # so TLB counters AND buckets must equal the per-op loop's
         for va in vas:
             perop.core.timed_masked_load(va)
-        col.core.probe_sweep(vas, rounds=1, warm=False, reduce="min",
-                             engine="columnar")
+        _on(col, "columnar").core.probe_sweep(vas, rounds=1, warm=False,
+                                              reduce="min")
         assert perop.core.tlb.stats() == col.core.tlb.stats()
         assert _tlb_image(perop.core.tlb) == _tlb_image(col.core.tlb)
         assert perop.core.tlb.occupancy() == col.core.tlb.occupancy()
@@ -569,7 +576,7 @@ class TestDifferentialFuzz:
             ops_per_va = sweep["rounds"] * (2 if sweep["warm"] else 1)
             counters_comparable &= ops_per_va <= 2
             results = {
-                engine: machine.core.probe_sweep(engine=engine, **sweep)
+                engine: _on(machine, engine).core.probe_sweep(**sweep)
                 for engine, machine in machines.items()
             }
             batched = machines["batched"].core
@@ -611,7 +618,7 @@ class TestRejectionReason:
         for engine in ("batched", "columnar"):
             machine = Machine.linux(cpu="i7-1065G7", seed=29)
             vas = prepare(machine)
-            result = machine.core.probe_sweep(vas, rounds=2, engine=engine)
+            result = _on(machine, engine).core.probe_sweep(vas, rounds=2)
             reports[engine] = (result, _machine_state(machine),
                                machine.core.last_sweep)
         assert np.array_equal(reports["batched"][0], reports["columnar"][0])
@@ -657,10 +664,10 @@ class TestSgxStorePassCoverage:
     def test_store_sweep_is_columnar(self, cpu):
         outcomes = {}
         for engine in ("batched", None):
-            machine = Machine.linux(cpu=cpu, seed=7)
+            machine = _on(Machine.linux(cpu=cpu, seed=7), engine)
             machine.create_enclave()
-            find_user_code_base(machine, engine=engine)
-            scan = scan_rw_pages(machine, engine=engine)
+            find_user_code_base(machine)
+            scan = scan_rw_pages(machine)
             report = machine.core.last_sweep
             outcomes[engine] = (scan.mapped_runs, scan.per_probe_cycles,
                                 _machine_state(machine),
@@ -692,7 +699,7 @@ class TestSelectionAndDelegation:
         machine = Machine.linux(seed=1)
         from repro.errors import ConfigError
         with pytest.raises(ConfigError):
-            machine.core.probe_sweep([layout.MODULE_START], engine="simd")
+            _on(machine, "simd").core.probe_sweep([layout.MODULE_START])
 
     def test_zero_mask_nop_delegates(self):
         machine = Machine.linux(seed=1)
@@ -700,8 +707,8 @@ class TestSelectionAndDelegation:
         twin = Machine.linux(seed=1)
         twin.core.avx.zero_mask_nop = True
         vas = _module_vas(machine)[:64]
-        rb = twin.core.probe_sweep(vas, rounds=2, engine="batched")
-        rc = machine.core.probe_sweep(vas, rounds=2, engine="columnar")
+        rb = _on(twin, "batched").core.probe_sweep(vas, rounds=2)
+        rc = _on(machine, "columnar").core.probe_sweep(vas, rounds=2)
         assert machine.core.last_sweep.engine == "batched"
         assert machine.core.last_sweep.reason == "zero-mask-nop"
         assert np.array_equal(rb, rc)
@@ -716,8 +723,8 @@ class TestSelectionAndDelegation:
         for engine in ("batched", "columnar"):
             machine = Machine.linux(cpu="i7-1065G7", seed=42, chaos=chaos)
             tracer = Tracer().attach(machine)
-            result = machine.core.probe_sweep(make_vas(machine),
-                                              engine=engine, **kwargs)
+            result = _on(machine, engine).core.probe_sweep(
+                make_vas(machine), **kwargs)
             records = tracer.finish()
             runs[engine] = (result, _machine_state(machine),
                             tracer.metrics.as_dict(),
@@ -743,13 +750,9 @@ class TestAttackLevelEquivalence:
     @pytest.mark.parametrize("cpu", CPUS)
     def test_kaslr_three_way(self, cpu):
         results = {}
-        for arm, kwargs in (
-            ("per-op", dict(engine="per-op")),
-            ("batched", dict(engine="batched")),
-            ("columnar", dict(engine="columnar")),
-        ):
-            machine = Machine.linux(cpu=cpu, seed=77)
-            results[arm] = (break_kaslr(machine, **kwargs).base,
+        for arm in ("per-op", "batched", "columnar"):
+            machine = _on(Machine.linux(cpu=cpu, seed=77), arm)
+            results[arm] = (break_kaslr(machine).base,
                             machine.core.clock.cycles)
         assert (results["per-op"][0] == results["batched"][0]
                 == results["columnar"][0])
@@ -759,13 +762,9 @@ class TestAttackLevelEquivalence:
 
     def test_modules_three_way(self):
         recovered = {}
-        for arm, kwargs in (
-            ("per-op", dict(engine="per-op")),
-            ("batched", dict(engine="batched")),
-            ("columnar", dict(engine="columnar")),
-        ):
-            machine = Machine.linux(seed=31)
-            result = detect_modules(machine, max_slots=2048, **kwargs)
+        for arm in ("per-op", "batched", "columnar"):
+            machine = _on(Machine.linux(seed=31), arm)
+            result = detect_modules(machine, max_slots=2048)
             recovered[arm] = ([(r.start, r.pages) for r in result.regions],
                               machine.core.clock.cycles)
         assert (recovered["per-op"] == recovered["batched"]
@@ -773,13 +772,9 @@ class TestAttackLevelEquivalence:
 
     def test_userspace_three_way(self):
         found = {}
-        for arm, kwargs in (
-            ("per-op", dict(engine="per-op")),
-            ("batched", dict(engine="batched")),
-            ("columnar", dict(engine="columnar")),
-        ):
-            machine = Machine.linux(seed=19)
-            result = find_user_code_base(machine, **kwargs)
+        for arm in ("per-op", "batched", "columnar"):
+            machine = _on(Machine.linux(seed=19), arm)
+            result = find_user_code_base(machine)
             found[arm] = (result.base, machine.core.clock.cycles)
         assert found["per-op"] == found["batched"] == found["columnar"]
 

@@ -9,6 +9,12 @@ from repro.attacks.module_detect import detect_modules, region_accuracy
 from repro.machine import Machine
 
 
+def _on(machine, engine):
+    """``machine``, its core's sweeps pinned to ``engine``."""
+    machine.core.sweep_engine = engine
+    return machine
+
+
 class TestNoiseFloods:
     def test_extreme_noise_breaks_the_attack_not_the_code(self):
         machine = Machine.linux(seed=950, noise_factor=24.0)
@@ -114,8 +120,9 @@ class TestMidRunDisturbances:
     def test_chaos_schedule_is_mode_agnostic(self):
         outcomes = []
         for engine in (None, "per-op"):
-            machine = Machine.linux(seed=962, chaos="default", kpti=False)
-            break_kaslr_intel(machine, engine=engine)
+            machine = _on(Machine.linux(seed=962, chaos="default",
+                                        kpti=False), engine)
+            break_kaslr_intel(machine)
             outcomes.append(
                 (machine.chaos.log_as_dicts(), machine.clock.cycles)
             )

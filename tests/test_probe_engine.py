@@ -35,6 +35,12 @@ USER_RW = PageFlags.PRESENT | PageFlags.USER | PageFlags.WRITABLE
 KERNEL_RW = PageFlags.PRESENT | PageFlags.WRITABLE
 
 
+def _on(machine, engine):
+    """``machine``, its core's sweeps pinned to ``engine``."""
+    machine.core.sweep_engine = engine
+    return machine
+
+
 def _slot_vas(count):
     return [layout.kernel_base_of_slot(slot) for slot in range(count)]
 
@@ -129,8 +135,8 @@ class TestBatchedEquivalence:
                                      "ryzen5-5600X"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_kaslr_base_recovery_matches(self, cpu, seed):
-        reference = break_kaslr(Machine.linux(cpu=cpu, seed=seed),
-                                engine="per-op")
+        reference = break_kaslr(_on(Machine.linux(cpu=cpu, seed=seed),
+                                    "per-op"))
         batched = break_kaslr(Machine.linux(cpu=cpu, seed=seed))
         assert batched.method == reference.method
         assert batched.base == reference.base
@@ -139,16 +145,16 @@ class TestBatchedEquivalence:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_kpti_base_recovery_matches(self, seed):
-        reference = break_kaslr(Machine.linux(seed=seed, kpti=True),
-                                engine="per-op")
+        reference = break_kaslr(_on(Machine.linux(seed=seed, kpti=True),
+                                    "per-op"))
         batched = break_kaslr(Machine.linux(seed=seed, kpti=True))
         assert reference.method == "kpti-trampoline"
         assert batched.base == reference.base
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_module_detection_matches(self, seed):
-        reference = detect_modules(Machine.linux(seed=seed), max_slots=3072,
-                                   engine="per-op")
+        reference = detect_modules(_on(Machine.linux(seed=seed), "per-op"),
+                                   max_slots=3072)
         batched = detect_modules(Machine.linux(seed=seed), max_slots=3072)
         assert batched.identified == reference.identified
         assert (
@@ -158,8 +164,8 @@ class TestBatchedEquivalence:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_windows_region_matches(self, seed):
-        reference = find_kernel_region(Machine.windows(seed=seed),
-                                       engine="per-op")
+        reference = find_kernel_region(_on(Machine.windows(seed=seed),
+                                           "per-op"))
         batched = find_kernel_region(Machine.windows(seed=seed))
         assert batched.base == reference.base
         assert batched.region_slots == reference.region_slots

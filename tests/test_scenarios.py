@@ -61,15 +61,42 @@ class TestRunScenario:
             run_scenario(_scenario(attack={"kind": "kaslr",
                                            "engine": "simd"}))
 
-    def test_sgx_engine_param_reaches_the_sweeps(self):
-        from repro.machine import Machine
-        from repro.scenarios import run_on
+    @pytest.mark.parametrize("machine_spec, attack", [
+        ({"os": "linux", "cpu": "i5-12400F", "seed": 42}, {"kind": "kaslr"}),
+        ({"os": "linux", "cpu": "i5-12400F", "seed": 42, "kpti": True},
+         {"kind": "kpti"}),
+        ({"os": "windows", "cpu": "i5-12400F", "seed": 2},
+         {"kind": "windows-region"}),
+        ({"os": "windows", "cpu": "i7-6600U", "version": "1709", "seed": 0},
+         {"kind": "windows-kvas"}),
+        ({"os": "linux", "cpu": "i5-12400F", "seed": 42},
+         {"kind": "user-scan"}),
+        ({"os": "linux", "cpu": "i7-1065G7", "seed": 0}, {"kind": "sgx"}),
+        ({"os": "linux", "cpu": "i5-12400F", "seed": 42},
+         {"kind": "supervised", "attack": "kaslr"}),
+    ], ids=["kaslr", "kpti", "windows-region", "windows-kvas", "user-scan",
+            "sgx", "supervised"])
+    def test_engine_param_reaches_every_sweep(self, machine_spec, attack):
+        """The spec's engine runs every sweep of the attack: per-op
+        sweeps open no ``probe-sweep`` span."""
+        from repro.obs import Tracer
+        from repro.scenarios import _build_machine, run_on
 
-        machine = Machine.linux(cpu="i7-1065G7", seed=0)
+        machine = _build_machine(machine_spec)
+        tracer = Tracer().attach(machine)
         result = run_on(machine, _scenario(
-            attack={"kind": "sgx", "engine": "per-op"}))
+            machine=machine_spec, attack=dict(attack, engine="per-op")))
+        records = tracer.finish()
         assert result.passed
+        assert not [r for r in records if r["type"] == "span"
+                    and r["name"] == "probe-sweep"]
         assert machine.core.last_sweep.engine == "per-op"
+
+    def test_engine_param_on_the_bootless_stub_is_ignored(self):
+        result = run_scenario(_scenario(
+            machine={"os": "none"},
+            attack={"kind": "noop", "engine": "per-op"}))
+        assert result.passed
 
     def test_max_expectation_violation(self):
         result = run_scenario(

@@ -15,6 +15,12 @@ from repro.errors import AttackError, CalibrationError, ProbeBudgetExceeded
 from repro.machine import Machine
 
 
+def _on(machine, engine):
+    """``machine``, its core's sweeps pinned to ``engine``."""
+    machine.core.sweep_engine = engine
+    return machine
+
+
 class TestAcceptanceCriterion:
     def test_kaslr_under_default_chaos_nine_of_ten_seeds(self):
         """The PR's headline bar: >= 9/10 seeds recover the true base
@@ -81,8 +87,9 @@ class TestDeterminism:
     def test_same_seed_same_verdict_and_clock(self, engine):
         outcomes = []
         for _ in range(2):
-            machine = Machine.linux(seed=6, chaos="default", kpti=False)
-            verdict = supervise(machine, "kaslr", engine=engine)
+            machine = _on(Machine.linux(seed=6, chaos="default",
+                                        kpti=False), engine)
+            verdict = supervise(machine, "kaslr")
             outcomes.append((verdict.as_dict(), machine.clock.cycles))
         assert outcomes[0] == outcomes[1]
 
@@ -171,8 +178,8 @@ class TestOtherAttacks:
         assert verdict.value == machine.kernel.base
 
     def test_sgx_charges_its_scans_on_the_chosen_engine(self):
-        machine = Machine.linux(cpu="i7-1065G7", seed=0)
-        verdict = supervise(machine, "sgx", engine="per-op")
+        machine = _on(Machine.linux(cpu="i7-1065G7", seed=0), "per-op")
+        verdict = supervise(machine, "sgx")
         assert verdict.found
         assert machine.core.last_sweep.engine == "per-op"
         assert verdict.probes_spent == verdict.result.simulated_probes

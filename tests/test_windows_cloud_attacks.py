@@ -11,6 +11,12 @@ from repro.attacks.windows_break import (
 from repro.machine import Machine
 
 
+def _on(machine, engine):
+    """``machine``, its core's sweeps pinned to ``engine``."""
+    machine.core.sweep_engine = engine
+    return machine
+
+
 class TestWindowsRegionScan:
     @pytest.fixture(scope="class")
     def scan(self):
@@ -97,14 +103,16 @@ class TestCloudAudit:
 
     def test_gce_plain_p2(self):
         # written against the per-op engine's noise draws; pinned to it
-        result = audit_cloud("gce", seed=64, engine="per-op")
+        result = audit_cloud(
+            machine=_on(Machine.cloud("gce", seed=64), "per-op"))
         assert result.method == "intel-p2"
         assert result.base_correct
         assert result.modules_identified == 19
 
     def test_azure_region_scan(self):
         # written against the per-op engine's noise draws; pinned to it
-        result = audit_cloud("azure", seed=65, engine="per-op")
+        result = audit_cloud(
+            machine=_on(Machine.cloud("azure", seed=65), "per-op"))
         assert result.method == "region-scan"
         assert result.base_correct
         assert result.derandomized_bits == 18
