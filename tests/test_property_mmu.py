@@ -1,20 +1,31 @@
 """Property-based tests (hypothesis) for the MMU substrate invariants."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cpu import columnar
 from repro.errors import AddressError, MappingError
 
 from repro.mmu.address import (
     PAGE_SIZE,
+    PAGE_SIZE_1G,
     PAGE_SIZE_2M,
     is_canonical,
     page_align_down,
     page_align_up,
     split_indices,
 )
-from repro.mmu.flags import PageFlags, flags_from_prot
+from repro.mmu.flags import (
+    KERNEL_RW,
+    KERNEL_RX,
+    USER_RO,
+    USER_RW,
+    USER_RX,
+    PageFlags,
+    flags_from_prot,
+)
 from repro.mmu.pagetable import AddressSpace, PageTable
 from repro.mmu.psc import PagingStructureCache
 from repro.mmu.tlb import TLB, TLBEntry
@@ -300,3 +311,314 @@ class TestMapRunProperties:
         with pytest.raises(AddressError):
             table.map_run(0x0000_7FFF_FFFF_F000, 1, 2, PageFlags.PRESENT)
         assert list(table.iter_terminal()) == []
+
+
+# -- one address space against a dict-of-pages model ---------------------------
+
+_LEVEL_OF_SIZE = {PAGE_SIZE_1G: 1, PAGE_SIZE_2M: 2, PAGE_SIZE: 3}
+_SIZE_OF_LEVEL = {level: size for size, level in _LEVEL_OF_SIZE.items()}
+_FIRST_PFN = 0x100  # FrameAllocator's default cursor
+
+
+def _index_va(path):
+    """The VA of the entry at index ``path`` (PML4 index first)."""
+    return sum(index << (39 - 9 * level) for level, index in enumerate(path))
+
+
+class _SpaceModel:
+    """A page table as two plain collections keyed by index path.
+
+    ``leaves`` maps the path of every terminal entry to ``(pfn, flags)``;
+    ``dirs`` holds the path of every directory entry.  Directories are
+    kept when their last leaf goes, as the real table keeps them.
+    ``shared`` holds the PML4 slots a second table aliases.  Each op
+    mutates in the order the real table does, so an op that fails
+    part-way (a run crossing PT nodes) leaves what the real one leaves.
+    """
+
+    def __init__(self):
+        self.leaves = {}
+        self.dirs = set()
+        self.shared = set()
+        self.next_pfn = _FIRST_PFN
+
+    def state(self):
+        return dict(self.leaves), set(self.dirs), set(self.shared)
+
+    def walk(self, va):
+        """``(path, level)``: the leaf covering ``va``, or None and the
+        level where the walk stops."""
+        indices = split_indices(va)
+        for level in range(4):
+            path = indices[:level + 1]
+            if path in self.leaves:
+                return path, level
+            if path not in self.dirs:
+                return None, level
+        raise AssertionError("a PT-level entry is never a directory")
+
+    def lookup(self, va):
+        path, level = self.walk(va)
+        if path is None:
+            return level, None
+        pfn, flags = self.leaves[path]
+        return level, (pfn, flags, _SIZE_OF_LEVEL[level])
+
+    def _has_children(self, path):
+        depth = len(path) + 1
+        return any(len(key) == depth and key[:-1] == path
+                   for key in list(self.leaves) + list(self.dirs))
+
+    def _descend(self, indices, level):
+        """Directories down to ``level``; a leaf on the way is an error."""
+        for upper in range(1, level):
+            if indices[:upper + 1] in self.leaves:
+                raise MappingError("terminal on the way")
+        self.dirs.update(indices[:upper + 1] for upper in range(level))
+
+    def map(self, va, pfn, flags, page_size):
+        level = _LEVEL_OF_SIZE[page_size]
+        indices = split_indices(va)
+        self._descend(indices, level)
+        path = indices[:level + 1]
+        if path in self.leaves \
+                or (path in self.dirs and self._has_children(path)):
+            raise MappingError("already mapped")
+        self.dirs.discard(path)
+        if page_size != PAGE_SIZE:
+            flags |= PageFlags.HUGE
+        self.leaves[path] = (pfn, int(flags))
+
+    def map_run(self, va, pfn, count, flags):
+        vpn = va >> 12
+        end = vpn + count
+        while vpn < end:
+            indices = split_indices(vpn << 12)
+            slots = range(indices[3], min(512, indices[3] + end - vpn))
+            self._descend(indices, 3)
+            paths = [indices[:3] + (index,) for index in slots]
+            if any(path in self.leaves for path in paths):
+                raise MappingError("already mapped")
+            for offset, path in enumerate(paths):
+                self.leaves[path] = (pfn + offset, int(flags))
+            pfn += len(slots)
+            vpn += len(slots)
+
+    def map_range(self, va, size, flags, page_size):
+        count = size // page_size
+        frames = page_size // PAGE_SIZE
+        first = self.next_pfn
+        self.next_pfn += count * frames
+        if page_size == PAGE_SIZE:
+            self.map_run(va, first, count, flags)
+        else:
+            for i in range(count):
+                self.map(va + i * page_size, first + i * frames, flags,
+                         page_size)
+        return first
+
+    def _terminal(self, va):
+        path, __ = self.walk(va)
+        if path is None:
+            raise MappingError("not mapped")
+        return path
+
+    def unmap(self, va):
+        del self.leaves[self._terminal(va)]
+
+    def protect(self, va, flags):
+        path = self._terminal(va)
+        pfn, old = self.leaves[path]
+        if not flags & PageFlags.PRESENT:
+            del self.leaves[path]
+            return
+        keep = old & (PageFlags.HUGE | PageFlags.GLOBAL)
+        self.leaves[path] = (pfn, int(flags) | keep)
+
+    def set_flag(self, va, flag):
+        path = self._terminal(va)
+        pfn, flags = self.leaves[path]
+        self.leaves[path] = (pfn, flags | int(flag))
+
+    def share(self, slot):
+        if (slot,) not in self.dirs:
+            raise MappingError("empty slot")
+        self.shared.add(slot)
+
+
+def _model_va(pml4, pdpt, pd, pt):
+    return _index_va((pml4, pdpt, pd, pt))
+
+
+#: two user PML4 slots, and indices at both edges of every paging
+#: structure, so runs cross PT-node and PD-node boundaries
+_pml4s = st.sampled_from([0, 1])
+_edges = st.sampled_from([0, 1, 511])
+_vas_4k = st.builds(_model_va, _pml4s, _edges, _edges, _edges)
+_vas_2m = st.builds(_model_va, _pml4s, _edges, _edges, st.just(0))
+_vas_1g = st.builds(_model_va, _pml4s, _edges, st.just(0), st.just(0))
+_any_va = st.one_of(_vas_4k, _vas_2m, _vas_1g)
+#: the target of an unmap/protect/set_flag: any VA, or ``("leaf", k)``,
+#: the base of the model's k-th leaf (modulo their count) at that step
+_targets = st.one_of(_any_va, st.tuples(st.just("leaf"),
+                                        st.integers(0, 63)))
+_pfns = st.integers(min_value=1, max_value=1 << 20)
+_leaf_flags = st.sampled_from([
+    USER_RX, USER_RO, USER_RW, KERNEL_RX, KERNEL_RW,
+    USER_RW | PageFlags.DIRTY, KERNEL_RW | PageFlags.GLOBAL,
+])
+_protections = st.sampled_from([
+    USER_RO, USER_RW, KERNEL_RX, flags_from_prot(read=False),
+])
+_run_pages = st.integers(min_value=1, max_value=700)
+_space_steps = st.one_of(
+    st.tuples(st.just("map"), _vas_4k, _pfns, _leaf_flags,
+              st.just(PAGE_SIZE)),
+    st.tuples(st.just("map"), _vas_2m, _pfns, _leaf_flags,
+              st.just(PAGE_SIZE_2M)),
+    st.tuples(st.just("map"), _vas_1g, _pfns, _leaf_flags,
+              st.just(PAGE_SIZE_1G)),
+    st.tuples(st.just("map_run"), _vas_4k, _pfns, _run_pages, _leaf_flags),
+    st.tuples(st.just("map_range"), _vas_4k,
+              _run_pages.map(lambda n: n * PAGE_SIZE), _leaf_flags,
+              st.just(PAGE_SIZE)),
+    st.tuples(st.just("map_range"), _vas_2m,
+              st.integers(1, 3).map(lambda n: n * PAGE_SIZE_2M), _leaf_flags,
+              st.just(PAGE_SIZE_2M)),
+    st.tuples(st.just("map_range"), _vas_1g, st.just(PAGE_SIZE_1G),
+              _leaf_flags, st.just(PAGE_SIZE_1G)),
+    st.tuples(st.just("unmap"), _targets),
+    st.tuples(st.just("protect"), _targets, _protections),
+    st.tuples(st.just("set_flag"), _targets,
+              st.just(PageFlags.ACCESSED | PageFlags.DIRTY)),
+    st.tuples(st.just("share"), _pml4s),
+)
+
+
+def _step_vas(step):
+    """The VAs a step touches: its start, its last page and the next."""
+    kind, va = step[0], step[1]
+    if kind == "share":
+        return {_model_va(va, 0, 0, 0)}
+    if kind == "map_run":
+        span = step[3] * PAGE_SIZE
+    elif kind == "map_range":
+        span = step[2]
+    elif kind == "map":
+        span = step[4]
+    else:
+        span = PAGE_SIZE
+    return {va, va + PAGE_SIZE, va + span - PAGE_SIZE, va + span}
+
+
+def _reachable(*roots):
+    seen = {}
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(entry.child for entry in node.entries.values()
+                         if entry.child is not None)
+    return list(seen.values())
+
+
+def _table_state(table):
+    """Every leaf, and every node with its index path and id."""
+    nodes = []
+
+    def walk(node, path):
+        nodes.append((path, node.node_id))
+        for index, entry in sorted(node.entries.items()):
+            if entry.child is not None:
+                walk(entry.child, path + (index,))
+
+    walk(table.root, ())
+    return _leaves(table), nodes
+
+
+def _record(table, va):
+    lookup = table.lookup(va)
+    translation = lookup.translation
+    return lookup.terminal_level, None if translation is None else (
+        translation.pfn, int(translation.flags), translation.page_size)
+
+
+class TestAddressSpaceAgainstModel:
+    """Random map/unmap/protect/A-D sequences against a dict-of-pages model.
+
+    A second table aliases PML4 slots of the first, as KPTI's user
+    table does.  After every step the lookups of every touched VA in
+    both tables, the raised error type and the whole tree match the
+    model, and every node's columnar image equals a fresh one.  Images
+    are built before each step, so an image a write failed to outdate
+    would be served.
+    """
+
+    @given(st.lists(_space_steps, min_size=1, max_size=12))
+    @settings(max_examples=120, deadline=None)
+    def test_steps_match_model(self, steps):
+        space = AddressSpace()
+        table = space.page_table
+        alias = PageTable()
+        model = _SpaceModel()
+        touched = set()
+        for step in steps:
+            for node in _reachable(table.root, alias.root):
+                columnar._node_arrays(node)
+            if isinstance(step[1], tuple):
+                leaves = sorted(model.leaves)
+                va = _index_va(leaves[step[1][1] % len(leaves)]) \
+                    if leaves else 0
+                step = (step[0], va) + step[2:]
+            kind, args = step[0], step[1:]
+            target = {
+                "map": table.map, "map_run": table.map_run,
+                "map_range": space.map_range, "unmap": table.unmap,
+                "protect": table.protect, "set_flag": table.set_flag,
+                "share": lambda slot: alias.share_top_level_from(table,
+                                                                 slot),
+            }[kind]
+            before_model, before = model.state(), _table_state(table)
+            expected = actual = None
+            try:
+                result = getattr(model, kind)(*args)
+            except MappingError as error:
+                expected = type(error)
+            try:
+                returned = target(*args)
+            except (MappingError, AddressError) as error:
+                actual = type(error)
+            assert actual is expected, step
+            if expected is None and kind == "map_range":
+                assert returned == result
+            if expected is not None and model.state() == before_model:
+                assert _table_state(table) == before
+            touched |= _step_vas(step)
+
+            assert _leaves(table) == sorted(
+                (_index_va(path), pfn, flags, _SIZE_OF_LEVEL[len(path) - 1])
+                for path, (pfn, flags) in model.leaves.items())
+            assert {path for path, __ in _table_state(table)[1][1:]} \
+                == model.dirs
+            assert set(alias.root.entries) == model.shared
+            for slot in model.shared:
+                assert alias.root.entries[slot] is table.root.entries[slot]
+            for va in sorted(touched):
+                want = model.lookup(va)
+                assert _record(table, va) == want, hex(va)
+                translation = space.translate(va)
+                assert (translation is None) == (want[1] is None)
+                shared = split_indices(va)[0] in model.shared
+                assert _record(alias, va) == (want if shared else (0, None))
+            for node in _reachable(table.root, alias.root):
+                served = columnar._node_arrays(node)
+                fresh = columnar._NodeArrays(node)
+                for name in columnar._NodeArrays.__slots__:
+                    got, want = getattr(served, name), getattr(fresh, name)
+                    if isinstance(want, np.ndarray):
+                        assert got.dtype == want.dtype, name
+                        assert np.array_equal(got, want), (name, step)
+                    else:
+                        assert len(got) == len(want), name
+                        assert all(a is b for a, b in zip(got, want)), name
