@@ -13,8 +13,8 @@ into dense numpy arrays -- one column per per-VA attribute:
 
 * structural resolution: per-level page-table node ids and indices,
   terminal level, present/user/writable/dirty bits, PFN (derived by a
-  vectorized radix descent over the page-table nodes, with per-node
-  sorted-key arrays cached against the global mutation generation);
+  vectorized radix descent over the column image each page-table node
+  keeps until its next write);
 * timing inputs: walk base cycles, assist costs, op base;
 * replacement-state interaction points: *run* boundaries (the node chain
   changed -> the PSC resume depth must be measured against the real
@@ -68,7 +68,6 @@ import collections
 import numpy as np
 
 from repro.cpu import engine as _engine
-from repro.mmu import pagetable as _pagetable
 from repro.mmu.address import (
     CANONICAL_HIGH_START,
     CANONICAL_LOW_END,
@@ -102,15 +101,10 @@ _SIZE_OF_LEVEL_ARR = np.array(
 _LEVEL_SHIFTS_U64 = tuple(np.uint64(s) for s in (39, 30, 21, 12))
 _INDEX_MASK_U64 = np.uint64(0x1FF)
 
-#: per-node column cache: node_id -> _NodeArrays, all filled under
-#: :data:`_node_cache_generation`.  node ids are globally unique and never
-#: reused, so a stale hit is impossible.  Any page-table mutation moves
-#: the generation and outdates every entry at once, so the cache is
-#: emptied then: it never keeps the columns (and, through their
-#: children, whole subtrees) of tables that are long gone.
-_NODE_CACHE = {}
-_NODE_CACHE_MAX = 8192
-_node_cache_generation = None
+#: the PTE bits a node image keeps as columns (NX is bit 63, so uint64)
+_PRESENT, _USER, _WRITABLE, _DIRTY = (
+    np.uint64(flag) for flag in (PageFlags.PRESENT, PageFlags.USER,
+                                 PageFlags.WRITABLE, PageFlags.DIRTY))
 
 
 class _Ineligible(Exception):
@@ -124,42 +118,29 @@ class _NodeArrays:
                  "dirty", "flag_objs", "children")
 
     def __init__(self, node):
-        items = sorted(node.entries.items())
-        count = len(items)
-        self.keys = np.empty(count, dtype=np.int64)
-        self.present = np.empty(count, dtype=bool)
-        self.terminal = np.empty(count, dtype=bool)
-        self.pfn = np.zeros(count, dtype=np.int64)
-        self.user = np.empty(count, dtype=bool)
-        self.writable = np.empty(count, dtype=bool)
-        self.dirty = np.empty(count, dtype=bool)
-        self.flag_objs = np.empty(count, dtype=object)
-        self.children = [None] * count
-        for slot, (index, entry) in enumerate(items):
-            flags = entry.flags
-            self.keys[slot] = index
-            self.present[slot] = bool(flags & PageFlags.PRESENT)
-            self.terminal[slot] = entry.child is None
-            self.pfn[slot] = entry.pfn if entry.pfn is not None else 0
-            self.user[slot] = bool(flags & PageFlags.USER)
-            self.writable[slot] = bool(flags & PageFlags.WRITABLE)
-            self.dirty[slot] = bool(flags & PageFlags.DIRTY)
-            self.flag_objs[slot] = flags
-            self.children[slot] = entry.child
+        indices = sorted(node.entries)
+        entries = [node.entries[index] for index in indices]
+        flags = np.array([int(entry.flags) for entry in entries],
+                         dtype=np.uint64)
+        self.keys = np.array(indices, dtype=np.int64)
+        self.present = flags & _PRESENT != 0
+        self.terminal = np.array([entry.child is None for entry in entries],
+                                 dtype=bool)
+        self.pfn = np.array([entry.pfn or 0 for entry in entries],
+                            dtype=np.int64)
+        self.user = flags & _USER != 0
+        self.writable = flags & _WRITABLE != 0
+        self.dirty = flags & _DIRTY != 0
+        self.flag_objs = np.array([entry.flags for entry in entries],
+                                  dtype=object)
+        self.children = [entry.child for entry in entries]
 
 
 def _node_arrays(node):
-    global _node_cache_generation
-    if _node_cache_generation != _pagetable._mutation_generation:
-        _NODE_CACHE.clear()
-        _node_cache_generation = _pagetable._mutation_generation
-    arrays = _NODE_CACHE.get(node.node_id)
-    if arrays is None:
-        arrays = _NodeArrays(node)
-        if len(_NODE_CACHE) >= _NODE_CACHE_MAX:
-            _NODE_CACHE.clear()
-        _NODE_CACHE[node.node_id] = arrays
-    return arrays
+    """``node``'s column image, built when the page table dropped it."""
+    if node.columns is None:
+        node.columns = _NodeArrays(node)
+    return node.columns
 
 
 class _Resolved:

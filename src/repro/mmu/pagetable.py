@@ -57,23 +57,40 @@ class Entry:
 
 
 class Node:
-    """One paging structure (512 entries, stored sparsely)."""
+    """One paging structure (512 entries, stored sparsely).
 
-    __slots__ = ("node_id", "level", "entries")
+    Every write to ``entries`` goes through a method here and drops
+    ``columns``, the columnar engine's image of the node
+    (:func:`repro.cpu.columnar._node_arrays`), so no image is stale.
+    """
+
+    __slots__ = ("node_id", "level", "entries", "columns")
 
     def __init__(self, level):
         self.node_id = next(_node_ids)
         self.level = level
         self.entries = {}
+        self.columns = None
 
-    def get(self, index):
-        return self.entries.get(index)
+    def put(self, items):
+        """Install ``{index: entry}`` items (new or replacing)."""
+        self.entries.update(items)
+        self.columns = None
+
+    def remove(self, index):
+        del self.entries[index]
+        self.columns = None
+
+    def add_flags(self, entry, flags):
+        """OR ``flags`` into ``entry``, one of this node's entries."""
+        entry.flags |= flags
+        self.columns = None
 
     def ensure_child(self, index):
         entry = self.entries.get(index)
         if entry is None:
             entry = Entry(flags=_DIR_FLAGS, child=Node(self.level + 1))
-            self.entries[index] = entry
+            self.put({index: entry})
         elif entry.child is None:
             raise MappingError(
                 "level-{} entry {} already terminal".format(self.level, index)
@@ -178,7 +195,7 @@ class PageTable:
         for level in range(terminal_level):
             node = node.ensure_child(indices[level])
         index = indices[terminal_level]
-        existing = node.get(index)
+        existing = node.entries.get(index)
         # a directory entry whose child table is empty (left behind by
         # ``unmap``) maps nothing, so a huge page may replace it
         if existing is not None and existing.flags & PageFlags.PRESENT \
@@ -186,7 +203,7 @@ class PageTable:
             raise MappingError("va {:#x} already mapped".format(va))
         if page_size != PAGE_SIZE:
             flags |= PageFlags.HUGE
-        node.entries[index] = Entry(flags=flags, pfn=pfn)
+        node.put({index: Entry(flags=flags, pfn=pfn)})
         _bump_generation()
 
     def map_run(self, va, pfn, count, flags):
@@ -234,7 +251,7 @@ class PageTable:
                         raise MappingError("va {:#x} already mapped".format(
                             (vpn + index - first) << PAGE_SHIFT
                         ))
-            entries.update(zip(slots, map(
+            node.put(zip(slots, map(
                 Entry, itertools.repeat(flags), range(pfn, pfn + len(slots))
             )))
             pfn += len(slots)
@@ -250,7 +267,7 @@ class PageTable:
         node, index, entry, level = self._find_terminal(va)
         if entry is None:
             raise MappingError("va {:#x} is not mapped".format(va))
-        del node.entries[index]
+        node.remove(index)
         _bump_generation()
         return _SIZE_OF_LEVEL[level]
 
@@ -262,19 +279,19 @@ class PageTable:
         keep = entry.flags & (PageFlags.HUGE | PageFlags.GLOBAL)
         if not flags & PageFlags.PRESENT:
             # PROT_NONE: drop the leaf, like Linux clearing the present bit.
-            del node.entries[index]
+            node.remove(index)
             _bump_generation()
             return
-        node.entries[index] = Entry(flags=flags | keep, pfn=entry.pfn)
+        node.put({index: Entry(flags=flags | keep, pfn=entry.pfn)})
         _bump_generation()
 
     def set_flag(self, va, flag):
         """OR ``flag`` into the terminal entry covering ``va`` (A/D bits)."""
-        __, __, entry, __ = self._find_terminal(va)
+        node, __, entry, __ = self._find_terminal(va)
         if entry is None:
             raise MappingError("va {:#x} is not mapped".format(va))
         if entry.flags & flag != flag:
-            entry.flags |= flag
+            node.add_flags(entry, flag)
             _bump_generation()
 
     # -- lookup ------------------------------------------------------------
@@ -284,7 +301,7 @@ class PageTable:
         indices = split_indices(va)
         node = self.root
         for level in range(4):
-            entry = node.get(indices[level])
+            entry = node.entries.get(indices[level])
             if entry is None:
                 return node, indices[level], None, level
             if entry.is_terminal:
@@ -318,7 +335,7 @@ class PageTable:
         touched = []
         for level in range(4):
             touched.append((level, node.node_id))
-            entry = node.get(indices[level])
+            entry = node.entries.get(indices[level])
             if entry is None or not entry.flags & PageFlags.PRESENT:
                 return Lookup(None, level, touched, indices)
             if entry.is_terminal:
@@ -345,12 +362,12 @@ class PageTable:
         This is how kernels share the kernel half between per-process page
         tables: top-level entries point at the same lower structures.
         """
-        entry = other.root.get(pml4_index)
+        entry = other.root.entries.get(pml4_index)
         if entry is None:
             raise MappingError(
                 "source PML4 slot {} is empty".format(pml4_index)
             )
-        self.root.entries[pml4_index] = entry
+        self.root.put({pml4_index: entry})
         _bump_generation()
 
     def iter_terminal(self):
