@@ -194,7 +194,8 @@ class Core:
         _engine.validate_sweep_args(op, reduce, rounds)
         vas = list(vas)
         if not vas:
-            self.last_sweep = _engine.SweepReport(engine or "auto")
+            self.last_sweep = _engine.SweepReport(
+                engine or "batched", reason=None if engine else "short-sweep")
             return np.empty((0,) if reduce else (0, rounds),
                             dtype=np.float64)
         if engine == "per-op":

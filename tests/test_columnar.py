@@ -695,6 +695,14 @@ class TestSelectionAndDelegation:
         assert machine.core.last_sweep.engine == "batched"
         assert machine.core.last_sweep.reason == "short-sweep"
 
+    def test_empty_sweep_reports_the_selected_engine(self):
+        machine = Machine.linux(seed=1)
+        machine.core.probe_sweep([], rounds=2)
+        assert machine.core.last_sweep.engine == "batched"
+        assert machine.core.last_sweep.reason == "short-sweep"
+        _on(machine, "columnar").core.probe_sweep([], rounds=2)
+        assert machine.core.last_sweep.engine == "columnar"
+
     def test_unknown_engine_rejected(self):
         machine = Machine.linux(seed=1)
         from repro.errors import ConfigError
