@@ -30,6 +30,8 @@ WINDOW_PAGES = 64
 BACKGROUND_SAMPLES = 2048
 #: pages the executable's base can fall on (the 28-bit ASLR range)
 REGION_PAGES = 1 << layout.USER_ASLR_BITS
+#: single probes of the unmapped guard page that set the scan boundary
+BOUNDARY_SAMPLES = 200
 
 
 class UserScanResult:
@@ -62,11 +64,11 @@ class UserScanResult:
         )
 
 
-def _calibrate_unmapped_boundary(machine, samples=200, use_store=False):
+def _calibrate_unmapped_boundary(machine):
     """Self-calibrate against the attacker's own unmapped guard page."""
     values = sorted(machine.core.probe_sweep(
-        [machine.playground.unmapped], rounds=samples,
-        op="store" if use_store else "load", warm=False, reduce=None,
+        [machine.playground.unmapped], rounds=BOUNDARY_SAMPLES, op="load",
+        warm=False, reduce=None,
     )[0])
     median = values[len(values) // 2]
     return median - 12
@@ -138,7 +140,7 @@ def find_user_code_base(machine, rounds=2):
     walks.  Read-write data pages need the store pass
     (:func:`scan_rw_pages`) -- the paper's two-pass combination.
     """
-    boundary = _calibrate_unmapped_boundary(machine, use_store=False)
+    boundary = _calibrate_unmapped_boundary(machine)
     return _region_scan(machine, lambda t: t <= boundary, "load", rounds,
                         mode="load")
 
