@@ -614,8 +614,6 @@ def cmd_soak(args):
             jobs=args.jobs, seed=args.seed, plan_units=args.plan_units,
             campaign_units=args.units, spin=args.spin,
             fault_profile=args.fault_profile,
-            fairness_ratio_max=args.fairness_ratio,
-            trickle_p99_ms=args.trickle_p99_ms,
         )
     except SoakError as error:
         print("SOAK FAILED: {}".format(error))
@@ -1000,12 +998,6 @@ def build_parser():
     p.add_argument("--fault-profile", default="default",
                    help="fault profile injected into the soak's "
                         "second plan")
-    p.add_argument("--fairness-ratio", type=float, default=3.0,
-                   help="bound on weight-normalized flood throughput "
-                        "max/min")
-    p.add_argument("--trickle-p99-ms", type=float, default=5000.0,
-                   help="bound on the trickle tenant's p99 scheduler "
-                        "wait")
     p.add_argument("--out", default=None, metavar="REPORT.JSON",
                    help="write the full report here (atomic)")
     p.set_defaults(func=cmd_soak)

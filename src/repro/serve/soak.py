@@ -63,6 +63,11 @@ SLOW_READER = "slow-reader"
 #: seconds a soak client waits on one socket read or write
 IO_TIMEOUT_S = 120.0
 
+#: pass bounds: weight-normalized flood throughput max/min, and each
+#: trickle tenant's p99 scheduler wait
+FAIRNESS_RATIO_MAX = 3.0
+TRICKLE_P99_MS = 5000.0
+
 #: default tenant mix: two floods at 2:1 weights, one trickle, one
 #: slow reader, and one flood capped below its pipelined window (its
 #: ``max_requests`` sets its quota, and keeps it out of the fairness
@@ -309,15 +314,12 @@ class SoakHarness:
     ``root`` is scratch space (recreated); ``duration_s`` covers the
     *load* windows (roughly half before the mid-soak SIGTERM, half
     after the restart).  ``campaign_units`` sizes the sharded-campaign
-    scale smoke (0 skips it); ``fairness_ratio_max`` bounds the
-    weight-normalized flood throughput spread; ``trickle_p99_ms``
-    bounds the trickle tenant's scheduler wait.
+    scale smoke (0 skips it).
     """
 
     def __init__(self, root, duration_s=30.0, shards=4, jobs=4, seed=9,
                  spin=2000, plan_units=48, campaign_units=2000,
-                 fault_profile="default", fairness_ratio_max=3.0,
-                 trickle_p99_ms=5000.0):
+                 fault_profile="default"):
         self.root = pathlib.Path(root)
         self.duration_s = duration_s
         self.shards = shards
@@ -327,8 +329,6 @@ class SoakHarness:
         self.plan_units = plan_units
         self.campaign_units = campaign_units
         self.fault_profile = fault_profile
-        self.fairness_ratio_max = fairness_ratio_max
-        self.trickle_p99_ms = trickle_p99_ms
         self.socket = str(self.root / "serve.sock")
         self.state = self.root / "state"
         self.stop_load = threading.Event()
@@ -641,15 +641,15 @@ class SoakHarness:
             "normalized": {k: round(v, 2) for k, v in normalized.items()},
             "dispatched_b": dispatched,
             "ratio": round(ratio, 3),
-            "bound": self.fairness_ratio_max,
+            "bound": FAIRNESS_RATIO_MAX,
         }
-        if ratio > self.fairness_ratio_max:
+        if ratio > FAIRNESS_RATIO_MAX:
             raise SoakError(
                 "weight-normalized flood throughput ratio {:.2f} exceeds "
                 "{:.2f}: {!r}".format(
-                    ratio, self.fairness_ratio_max, normalized), report)
+                    ratio, FAIRNESS_RATIO_MAX, normalized), report)
         self.log("fairness: normalized ratio {:.2f} <= {:.2f} ({})".format(
-            ratio, self.fairness_ratio_max,
+            ratio, FAIRNESS_RATIO_MAX,
             ", ".join("{}={}".format(k, v)
                       for k, v in sorted(counts.items()))))
 
@@ -698,11 +698,11 @@ class SoakHarness:
                 raise SoakError(
                     "trickle tenant {} completed nothing".format(name),
                     report)
-            if p99 > self.trickle_p99_ms:
+            if p99 > TRICKLE_P99_MS:
                 raise SoakError(
                     "trickle tenant {} p99 queue wait {:.0f}ms exceeds "
                     "{:.0f}ms -- starved behind the floods".format(
-                        name, p99, self.trickle_p99_ms), report)
+                        name, p99, TRICKLE_P99_MS), report)
         report["trickle"] = trickle
         self.log("trickle: " + json.dumps(trickle, sort_keys=True))
 
