@@ -206,7 +206,7 @@ def _resolve(node, level, rows, idx_cols, out):
         if level == 3:
             raise _Ineligible("malformed-pt")
         dir_pos = live_pos[~terminal]
-        for slot in np.unique(dir_pos):
+        for slot in sorted(set(dir_pos.tolist())):
             _resolve(
                 arrays.children[slot], level + 1,
                 dir_rows[dir_pos == slot], idx_cols, out,
@@ -228,30 +228,33 @@ class _Plan:
 _PROBE_SIZES = (PAGE_SIZE, PAGE_SIZE_2M, PAGE_SIZE_1G)
 
 
-def _tlb_index(tlb):
-    """The live TLB's packed (vpn, size) keys, indexed once per compile.
+def _cached_keys(tlb):
+    """The packed (vpn, size) keys of every entry the live TLB holds, of
+    every tag, sorted: built once per compile."""
+    keys = []
+    for code, size in enumerate(_PROBE_SIZES):
+        keys += [entry.vpn * 4 + code
+                 for bucket in tlb.l1[size]._sets for entry in bucket]
+    keys += [entry.vpn * 4 + _SIZE_CODE[entry.page_size]
+             for bucket in tlb.stlb._sets for entry in bucket]
+    return np.sort(np.array(keys, dtype=np.int64))
 
-    Returns ``(l1_visible, stlb_visible, l1_keys, all_keys)``: the two
-    dicts map every key a lookup under the active tag can hit to its
-    entry; the two sets hold the cached keys of every tag.
-    """
-    asid = tlb.active_asid
 
-    def scan(arrays):
-        visible = {}
-        keys = set()
-        for array in arrays:
-            for bucket in array._sets:
-                for entry in bucket:
-                    key = entry.vpn * 4 + _SIZE_CODE[entry.page_size]
-                    keys.add(key)
-                    if entry.asid == asid or entry.is_global:
-                        visible[key] = entry
-        return visible, keys
+def _cached(tlb, key):
+    """``(l1_entry, stlb_entry)`` the live TLB holds under packed ``key``,
+    of any tag, None where it holds none (an array caches a key at most
+    once, as TLB.fill replaces in place)."""
+    vpn, size = key >> 2, _PROBE_SIZES[key & 3]
+    return tuple(
+        next((entry for entry in array._sets[vpn % array.sets]
+              if entry.vpn == vpn and entry.page_size == size), None)
+        for array in (tlb.l1[size], tlb.stlb))
 
-    l1_visible, l1_keys = scan(tlb.l1.values())
-    stlb_visible, stlb_keys = scan([tlb.stlb])
-    return l1_visible, stlb_visible, l1_keys, l1_keys | stlb_keys
+
+def _member(keys, values):
+    """``np.isin(values, keys)`` for a sorted, non-empty ``keys``."""
+    pos = np.searchsorted(keys, values)
+    return keys[np.minimum(pos, keys.size - 1)] == values
 
 
 def _set_overflows(tlb, vpn, size_code, fill_mask, hit_entries, hit_l2):
@@ -341,15 +344,21 @@ def _compile(core, vas, op):
         ((vas >> np.uint64(21)).astype(np.int64) << 2) | 1,
         ((vas >> np.uint64(30)).astype(np.int64) << 2) | 2,
     ])
-    l1_visible, stlb_visible, l1_keys, all_keys = _tlb_index(tlb)
+    cached = _cached_keys(tlb)
+    asid = tlb.active_asid
+
+    def visible(entry):
+        return entry is not None and (entry.asid == asid or entry.is_global)
+
     hit = np.zeros(n, dtype=bool)
     hit_rows = _NO_ROWS
     hit_keys = _NO_ROWS
-    if l1_visible or stlb_visible:
-        visible = l1_visible.keys() | stlb_visible.keys()
-        matches = np.isin(
-            cand, np.fromiter(visible, dtype=np.int64, count=len(visible))
-        )
+    if cached.size:
+        matches = _member(cached, cand)
+        if matches.any():
+            # only an entry of the active tag (or a global one) can hit
+            matches[matches] = [any(map(visible, _cached(tlb, key)))
+                                for key in cand[matches].tolist()]
         if matches.any():
             count = matches.sum(axis=0)
             if (count > 1).any():
@@ -360,24 +369,23 @@ def _compile(core, vas, op):
     fill_mask = present & ~hit \
         & (out.user | cpu.fills_tlb_for_supervisor_user_probe)
     fill_keys = (vpn * 4 + size_code)[fill_mask]
-    if fill_keys.size and all_keys:
-        alk = np.fromiter(all_keys, dtype=np.int64, count=len(all_keys))
-        if np.isin(fill_keys, alk).any():
-            return "fill-collision"
+    if fill_keys.size and cached.size and _member(cached, fill_keys).any():
+        return "fill-collision"
     owned = np.concatenate([fill_keys, hit_keys])
     if owned.size:
-        unique, counts = np.unique(cand, return_counts=True)
-        if (counts[np.searchsorted(unique, owned)] > 1).any():
+        flat = np.sort(cand, axis=None)
+        if (np.searchsorted(flat, owned, "right")
+                - np.searchsorted(flat, owned) > 1).any():
             return "duplicate-key"
     hit_entries = []
     hit_l2 = np.zeros(hit_rows.size, dtype=bool)
     for k, key in enumerate(hit_keys.tolist()):
-        entry = l1_visible.get(key)
+        entry, stlb_entry = _cached(tlb, key)
         if entry is None:
-            if key in l1_keys:
-                return "fill-collision"
-            entry = stlb_visible[key]
+            entry = stlb_entry
             hit_l2[k] = True
+        elif not visible(entry):
+            return "fill-collision"
         hit_entries.append(entry)
     if hit_entries and _set_overflows(tlb, vpn, size_code, fill_mask,
                                       hit_entries, hit_l2):
@@ -545,39 +553,36 @@ def _run_window(core, plan, state, rounds, warm, seg_start, deadline):
         state.steady[seg_start:seg_start + n] = steady
         return n, walk1_extra
 
+    budget = deadline - core.clock.cycles
+    if budget <= 0:
+        return 0, walk1_extra
     cpu = core.cpu
     per_va_overhead = rounds * (cpu.measurement_overhead + cpu.loop_overhead)
-    base_clock = core.clock.cycles
-    elapsed = 0
+    # every row priced as an interior one; each boundary simulation then
+    # reprices its own row and shifts the polls of the rows after it
+    first, steady = _row_cycles(core, plan, walk1_extra, 0, n, ops_per_va)
+    polls = np.cumsum(first + steady * (ops_per_va - 1) + per_va_overhead)
+    shift = 0
     done = n
     starts = plan.boundary.tolist()
     if plan.hit[0]:
         starts.insert(0, 0)  # the window opens with hit rows
     for k, row in enumerate(starts):
-        if base_clock + elapsed >= deadline:
-            done = row
-            break
-        nxt = starts[k + 1] if k + 1 < len(starts) else n
         if not plan.hit[row]:
             _sim_boundary(core, plan, row, walk1_extra)
-        first, steady = _row_cycles(core, plan, walk1_extra, row, nxt,
-                                    ops_per_va)
-        state.first[seg_start + row:seg_start + nxt] = first
-        state.steady[seg_start + row:seg_start + nxt] = steady
-        totals = np.cumsum(
-            first + steady * (ops_per_va - 1) + per_va_overhead
-        )
-        if nxt - row > 1:
-            # row ``row`` already cleared its poll; rows row+1.. poll at
-            # base + elapsed + totals[j-1]
-            tripped = np.flatnonzero(
-                base_clock + elapsed + totals[:-1] >= deadline
-            )
-            if tripped.size:
-                j = int(tripped[0])
-                done = row + 1 + j
-                break
-        elapsed += int(totals[-1])
+            cycles = _row_cycles(core, plan, walk1_extra, row, row + 1,
+                                 ops_per_va)[0][0]
+            shift += int(cycles - first[row])
+            first[row] = cycles  # steady too, when it is the same array
+        # rows after ``row`` poll at base + polls[r - 1] + shift: the
+        # first to reach the deadline stops the window
+        trip = max(int(np.searchsorted(polls, budget - shift)), row) + 1
+        nxt = starts[k + 1] if k + 1 < len(starts) else n
+        if trip <= nxt:
+            done = min(trip, n)
+            break
+    state.first[seg_start:seg_start + done] = first[:done]
+    state.steady[seg_start:seg_start + done] = steady[:done]
     return done, walk1_extra
 
 
@@ -826,10 +831,8 @@ def columnar_sweep(core, vas, rounds, op="load", warm=True, reduce="mean",
                 state.spike_col[start] = core.pending_spike_cycles
                 core.pending_spike_cycles = 0
                 state.resolution[start:start + done] = core.timer_resolution
-                for row in range(start, start + done):
-                    state.noise[row] = core.noise.sample_array(
-                        core.rng, (rounds,)
-                    ).astype(np.int64)
+                state.noise[start:start + done] = core.noise.sample_rows(
+                    core.rng, done, rounds)
             columnar_rows += done
             start += done
         report = core.last_sweep = _engine.SweepReport(

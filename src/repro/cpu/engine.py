@@ -29,11 +29,13 @@ closed form:
 * performance counters (and the walker's ``completed_walks``) replay the
   steady op's delta once per skipped op, so counter reads are *equal* to
   the per-op path's,
-* measurement noise is drawn in one vectorized call from the canonical
-  kernel in :mod:`repro.cpu.noise` (same distribution as the scalar
-  path; the RNG stream is consumed in a different order, so individual
-  noise values -- but not their statistics or the classification
-  outcomes -- differ from the per-op path).
+* measurement noise comes from the canonical kernel in
+  :mod:`repro.cpu.noise`: one vectorized call for a quiet sweep, one
+  kernel-equivalent row of :meth:`~repro.cpu.noise.NoiseModel.sample_rows`
+  per VA under chaos (same distribution as the scalar path; the RNG
+  stream is consumed in a different order, so individual noise values
+  -- but not their statistics or the classification outcomes -- differ
+  from the per-op path).
 
 The columnar engine (:mod:`repro.cpu.columnar`) executes eligible row
 ranges as array passes and hands the rest to ``sweep_rows``; both write
@@ -70,11 +72,15 @@ class SweepState:
     ``first``/``steady`` hold each VA's first-access and steady-state true
     cycle counts.  Under an active chaos runtime, noise / spike / timer
     resolution become per-row state captured at each VA's poll boundary
-    (``noise``, ``spike_col``, ``resolution``); on a quiet machine they
-    stay None and :func:`finalize_sweep` draws one vectorized noise block
-    instead.  Both the row loop (:func:`sweep_rows`) and the columnar
-    engine write into the same state object, so a sweep can mix
-    vectorized and per-op row ranges without changing its output.
+    (``noise``, ``spike_col``, ``resolution``): the row loop draws each
+    row's noise with :meth:`~repro.cpu.noise.NoiseModel.sample_rows`
+    after its poll, a columnar window draws all of its rows in one such
+    call, and both consume the generator exactly as one kernel call per
+    row would.  On a quiet machine they stay None and
+    :func:`finalize_sweep` draws one vectorized noise block instead.
+    Both the row loop (:func:`sweep_rows`) and the columnar engine write
+    into the same state object, so a sweep can mix vectorized and per-op
+    row ranges without changing its output.
     """
 
     __slots__ = ("n", "rounds", "chaos", "first", "steady", "noise",
@@ -125,9 +131,7 @@ def sweep_rows(core, vas, rounds, op, warm, state, lo, hi):
             state.spike_col[i] = core.pending_spike_cycles
             core.pending_spike_cycles = 0
             state.resolution[i] = core.timer_resolution
-            state.noise[i] = core.noise.sample_array(
-                core.rng, (rounds,)
-            ).astype(np.int64)
+            state.noise[i:i + 1] = core.noise.sample_rows(core.rng, 1, rounds)
         result = execute(va)
         first[i] = result.cycles
         if ops_per_va == 1:

@@ -62,11 +62,11 @@ class TestNoiseModel:
         spikes = sum(1 for s in samples if s > 400)
         assert 120 < spikes < 280  # ~10%
 
-    def test_sample_many_matches_support(self):
+    def test_sample_rows_matches_support(self):
         noise = NoiseModel(np.random.default_rng(3), sigma=2.0)
-        batch = noise.sample_many(1000)
+        batch = noise.sample_rows(noise.rng, 250, 4)
         assert batch.min() >= 0
-        assert batch.shape == (1000,)
+        assert batch.shape == (250, 4)
 
     def test_scaled(self):
         noise = NoiseModel(np.random.default_rng(0), sigma=2.0)

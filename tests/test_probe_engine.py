@@ -212,6 +212,30 @@ class TestNoiseKernel:
         assert values.max() < 12
         assert values.min() >= 0
 
+    @pytest.mark.parametrize("spike_prob", [0.0, 0.001, 0.3])
+    @pytest.mark.parametrize("rounds", [1, 2, 4, 16])
+    def test_rows_draw_equals_one_kernel_call_per_row(self, rounds,
+                                                      spike_prob):
+        """The chaos-path block draw is the per-row kernel stream: same
+        values, same generator state after it, across a sigma change
+        between two blocks (a migration) and an empty block."""
+        model = NoiseModel(None, sigma=2.0, spike_prob=spike_prob,
+                           spike_cycles=400)
+        block_rng = np.random.default_rng(11)
+        row_rng = np.random.default_rng(11)
+        blocks, rows_drawn = [], []
+        for sigma, rows in ((2.0, 300), (2.0, 0), (5.5, 200)):
+            model.sigma = sigma
+            blocks.append(model.sample_rows(block_rng, rows, rounds))
+            rows_drawn.extend(
+                sample_noise_array(row_rng, (rounds,), sigma, spike_prob,
+                                   400)
+                for __ in range(rows))
+        block = np.concatenate(blocks)
+        assert block.dtype == np.int64
+        np.testing.assert_array_equal(block, np.array(rows_drawn))
+        assert block_rng.bit_generator.state == row_rng.bit_generator.state
+
 
 class TestLookupCacheSoundness:
     """The memoized lookup may never diverge from the raw traversal."""
