@@ -44,11 +44,14 @@ from repro.attacks.supervisor import supervise
 from repro.attacks.userspace import find_user_code_base, scan_rw_pages
 from repro.cpu import columnar
 from repro.cpu.engine import SweepReport
-from repro.errors import AddressError
+from repro.errors import AddressError, MappingError
 from repro.machine import Machine
+from repro.mmu.address import PAGE_SIZE_2M, page_align_up
 from repro.mmu.flags import PageFlags
 from repro.obs import Tracer
 from repro.os.linux import layout
+
+from tests.pagetable_steps import page_table_steps, writers
 
 CPUS = ["i5-12400F", "i7-1065G7", "ryzen5-5600X"]
 
@@ -461,16 +464,31 @@ def _tlb_buckets(tlb):
 
 
 def _fuzz_pools(machine):
-    """The address populations a sweep draws from."""
+    """The address populations a sweep draws from.  ``huge`` spans two
+    empty 2 MiB frames above the mmap region, where page-table steps
+    may map 2 MiB pages."""
     base = machine.process.mmap(96)
+    huge = page_align_up(base + 2 * PAGE_SIZE_2M, PAGE_SIZE_2M)
     slots = _base_vas(machine)
     kernel = slots.index(machine.kernel.base)
     return {
         "modules": [layout.MODULE_START + i * 4096 for i in range(1024)],
         "mapped": [base + i * 4096 for i in range(96)],
         "unmapped": [base + (96 + 32 + i) * 4096 for i in range(64)],
+        "huge": [huge + i * 16 * 4096 for i in range(64)],
         "slots": slots[max(0, kernel - 16):kernel + 48],
     }
+
+
+def _fuzz_writes(pools):
+    """Page-table steps over the user pools a sweep draws from: the
+    model test's generator, at these VAs."""
+    user = pools["mapped"] + pools["unmapped"] + pools["huge"]
+    return page_table_steps(
+        st.sampled_from(user),
+        st.sampled_from([pools["huge"][0], pools["huge"][0] + PAGE_SIZE_2M]),
+        st.sampled_from(user),
+    )
 
 
 @st.composite
@@ -507,7 +525,11 @@ class TestDifferentialFuzz:
     and columnar engines: fresh sweeps, a sweep repeated back to back, a
     load pass followed by a store pass over the same pages (the SGX
     break's two passes), kernel-mode TLB fills under KPTI's PCID tag,
-    and pages dirtied behind the TLB's back.  After every step batched
+    pages dirtied behind the TLB's back, and page-table writes (maps
+    and runs at 4 KiB and 2 MiB, unmaps, re-protections) over the swept
+    user pages without a TLB flush, drawn from the model test's
+    generator; each raises the same error, or none, on every twin.
+    After every step batched
     and columnar agree bit for bit (matrix, clock, PMU, TLB image,
     walker, RNG, chaos schedule); per-op agrees on clock, PMU, TLB
     buckets, walker and chaos schedule, and on the TLB hit/miss counters
@@ -538,10 +560,10 @@ class TestDifferentialFuzz:
         pools = pools["batched"]
         counters_comparable = True
         sweep = None
-        for __ in range(data.draw(st.integers(2, 4), label="steps")):
+        for __ in range(data.draw(st.integers(2, 5), label="steps")):
             step = data.draw(st.sampled_from(
                 ["sweep", "sweep", "again", "other-op", "kernel-touch",
-                 "dirty"]), label="step")
+                 "dirty", "page-table", "page-table"]), label="step")
             if step == "kernel-touch":
                 vas = data.draw(st.lists(
                     st.sampled_from(pools["modules"] + pools["slots"]),
@@ -549,11 +571,26 @@ class TestDifferentialFuzz:
                 for machine in machines.values():
                     machine.core.kernel_touch(vas)
                 continue
+            if step == "page-table":
+                write = data.draw(_fuzz_writes(pools), label="write")
+                raised = []
+                for machine in machines.values():
+                    try:
+                        writers(machine.core.address_space)[write[0]](
+                            *write[1:])
+                    except (MappingError, AddressError) as error:
+                        raised.append(type(error))
+                    else:
+                        raised.append(None)
+                assert len(set(raised)) == 1, write
+                continue
             if step == "dirty":
+                table = machines["batched"].core.address_space.page_table
+                live = [va for va in pools["mapped"] if table.is_mapped(va)]
                 swept = [va for va in (sweep or {}).get("vas", ())
-                         if va in pools["mapped"]]
+                         if va in live]
                 vas = data.draw(st.lists(
-                    st.sampled_from(swept or pools["mapped"]),
+                    st.sampled_from(swept or live),
                     min_size=1, max_size=8))
                 for machine in machines.values():
                     page_table = machine.core.address_space.page_table

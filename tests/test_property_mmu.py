@@ -17,18 +17,12 @@ from repro.mmu.address import (
     page_align_up,
     split_indices,
 )
-from repro.mmu.flags import (
-    KERNEL_RW,
-    KERNEL_RX,
-    USER_RO,
-    USER_RW,
-    USER_RX,
-    PageFlags,
-    flags_from_prot,
-)
+from repro.mmu.flags import PageFlags, flags_from_prot
 from repro.mmu.pagetable import AddressSpace, PageTable
 from repro.mmu.psc import PagingStructureCache
 from repro.mmu.tlb import TLB, TLBEntry
+
+from tests.pagetable_steps import page_table_steps, writers
 
 #: canonical user-half addresses
 user_vas = st.integers(min_value=0, max_value=0x0000_7FFF_FFFF_FFFF)
@@ -462,36 +456,9 @@ _any_va = st.one_of(_vas_4k, _vas_2m, _vas_1g)
 #: the base of the model's k-th leaf (modulo their count) at that step
 _targets = st.one_of(_any_va, st.tuples(st.just("leaf"),
                                         st.integers(0, 63)))
-_pfns = st.integers(min_value=1, max_value=1 << 20)
-_leaf_flags = st.sampled_from([
-    USER_RX, USER_RO, USER_RW, KERNEL_RX, KERNEL_RW,
-    USER_RW | PageFlags.DIRTY, KERNEL_RW | PageFlags.GLOBAL,
-])
-_protections = st.sampled_from([
-    USER_RO, USER_RW, KERNEL_RX, flags_from_prot(read=False),
-])
-_run_pages = st.integers(min_value=1, max_value=700)
-_space_steps = st.one_of(
-    st.tuples(st.just("map"), _vas_4k, _pfns, _leaf_flags,
-              st.just(PAGE_SIZE)),
-    st.tuples(st.just("map"), _vas_2m, _pfns, _leaf_flags,
-              st.just(PAGE_SIZE_2M)),
-    st.tuples(st.just("map"), _vas_1g, _pfns, _leaf_flags,
-              st.just(PAGE_SIZE_1G)),
-    st.tuples(st.just("map_run"), _vas_4k, _pfns, _run_pages, _leaf_flags),
-    st.tuples(st.just("map_range"), _vas_4k,
-              _run_pages.map(lambda n: n * PAGE_SIZE), _leaf_flags,
-              st.just(PAGE_SIZE)),
-    st.tuples(st.just("map_range"), _vas_2m,
-              st.integers(1, 3).map(lambda n: n * PAGE_SIZE_2M), _leaf_flags,
-              st.just(PAGE_SIZE_2M)),
-    st.tuples(st.just("map_range"), _vas_1g, st.just(PAGE_SIZE_1G),
-              _leaf_flags, st.just(PAGE_SIZE_1G)),
-    st.tuples(st.just("unmap"), _targets),
-    st.tuples(st.just("protect"), _targets, _protections),
-    st.tuples(st.just("set_flag"), _targets,
-              st.just(PageFlags.ACCESSED | PageFlags.DIRTY)),
-    st.tuples(st.just("share"), _pml4s),
+_space_steps = page_table_steps(
+    _vas_4k, _vas_2m, _targets, vas_1g=_vas_1g,
+    extra=[st.tuples(st.just("share"), _pml4s)],
 )
 
 
@@ -572,13 +539,10 @@ class TestAddressSpaceAgainstModel:
                     if leaves else 0
                 step = (step[0], va) + step[2:]
             kind, args = step[0], step[1:]
-            target = {
-                "map": table.map, "map_run": table.map_run,
-                "map_range": space.map_range, "unmap": table.unmap,
-                "protect": table.protect, "set_flag": table.set_flag,
-                "share": lambda slot: alias.share_top_level_from(table,
-                                                                 slot),
-            }[kind]
+            target = dict(
+                writers(space),
+                share=lambda slot: alias.share_top_level_from(table, slot),
+            )[kind]
             before_model, before = model.state(), _table_state(table)
             expected = actual = None
             try:
