@@ -13,8 +13,8 @@ into dense numpy arrays -- one column per per-VA attribute:
 
 * structural resolution: per-level page-table node ids and indices,
   terminal level, present/user/writable/dirty bits, PFN (derived by a
-  vectorized radix descent over the column image each page-table node
-  keeps until its next write);
+  vectorized radix descent that gathers from each page-table node's own
+  slot columns);
 * timing inputs: walk base cycles, assist costs, op base;
 * replacement-state interaction points: *run* boundaries (the node chain
   changed -> the PSC resume depth must be measured against the real
@@ -76,6 +76,7 @@ from repro.mmu.address import (
     PAGE_SIZE_2M,
 )
 from repro.mmu.flags import PageFlags
+from repro.mmu.pagetable import page_flags
 from repro.mmu.tlb import TLBEntry
 
 #: below this sweep length the compile overhead is not worth it; the
@@ -101,7 +102,7 @@ _SIZE_OF_LEVEL_ARR = np.array(
 _LEVEL_SHIFTS_U64 = tuple(np.uint64(s) for s in (39, 30, 21, 12))
 _INDEX_MASK_U64 = np.uint64(0x1FF)
 
-#: the PTE bits a node image keeps as columns (NX is bit 63, so uint64)
+#: the PTE bits the engine reads from a node's flag column
 _PRESENT, _USER, _WRITABLE, _DIRTY = (
     np.uint64(flag) for flag in (PageFlags.PRESENT, PageFlags.USER,
                                  PageFlags.WRITABLE, PageFlags.DIRTY))
@@ -111,105 +112,47 @@ class _Ineligible(Exception):
     """Raised during compile when a window cannot be proven safe."""
 
 
-class _NodeArrays:
-    """Columnar image of one paging-structure node's sparse entries."""
-
-    __slots__ = ("keys", "present", "terminal", "pfn", "user", "writable",
-                 "dirty", "flag_objs", "children")
-
-    def __init__(self, node):
-        indices = sorted(node.entries)
-        entries = [node.entries[index] for index in indices]
-        flags = np.array([int(entry.flags) for entry in entries],
-                         dtype=np.uint64)
-        self.keys = np.array(indices, dtype=np.int64)
-        self.present = flags & _PRESENT != 0
-        self.terminal = np.array([entry.child is None for entry in entries],
-                                 dtype=bool)
-        self.pfn = np.array([entry.pfn or 0 for entry in entries],
-                            dtype=np.int64)
-        self.user = flags & _USER != 0
-        self.writable = flags & _WRITABLE != 0
-        self.dirty = flags & _DIRTY != 0
-        self.flag_objs = np.array([entry.flags for entry in entries],
-                                  dtype=object)
-        self.children = [entry.child for entry in entries]
-
-
-def _node_arrays(node):
-    """``node``'s column image, built when the page table dropped it."""
-    if node.columns is None:
-        node.columns = _NodeArrays(node)
-    return node.columns
-
-
 class _Resolved:
-    """Structural-resolution columns for one window (SoA Lookup)."""
+    """Structural-resolution columns for one window (SoA Lookup): a
+    terminal row's leaf PFN and flag word, 0 for any other row."""
 
-    __slots__ = ("node_ids", "T", "present", "pfn", "user", "writable",
-                 "dirty", "flag_objs")
+    __slots__ = ("node_ids", "T", "pfn", "flags")
 
     def __init__(self, n):
         self.node_ids = np.full((4, n), -1, dtype=np.int64)
         self.T = np.zeros(n, dtype=np.int64)
-        self.present = np.zeros(n, dtype=bool)
         self.pfn = np.zeros(n, dtype=np.int64)
-        self.user = np.zeros(n, dtype=bool)
-        self.writable = np.zeros(n, dtype=bool)
-        self.dirty = np.zeros(n, dtype=bool)
-        self.flag_objs = np.empty(n, dtype=object)
+        self.flags = np.zeros(n, dtype=np.uint64)
 
 
 def _resolve(node, level, rows, idx_cols, out):
-    """Vectorized radix descent: classify ``rows`` through ``node``."""
+    """Vectorized radix descent: classify ``rows`` through ``node``,
+    gathering from the node's own columns."""
     out.node_ids[level, rows] = node.node_id
-    arrays = _node_arrays(node)
+    out.T[rows] = level
     idx = idx_cols[level][rows]
-    if arrays.keys.size == 0:
-        out.T[rows] = level
+    flags = node.flags[idx]
+    live = flags & _PRESENT != 0
+    if not live.any():
         return
-    pos = np.searchsorted(arrays.keys, idx)
-    in_bounds = pos < arrays.keys.size
-    pos_c = np.where(in_bounds, pos, 0)
-    found = in_bounds & (arrays.keys[pos_c] == idx)
-
-    missing = rows[~found]
-    if missing.size:
-        out.T[missing] = level
-    found_rows = rows[found]
-    found_pos = pos_c[found]
-    if not found_rows.size:
-        return
-    present = arrays.present[found_pos]
-    not_present = found_rows[~present]
-    if not_present.size:
-        out.T[not_present] = level
-    live_rows = found_rows[present]
-    live_pos = found_pos[present]
-    if not live_rows.size:
-        return
-    terminal = arrays.terminal[live_pos]
-    term_rows = live_rows[terminal]
-    if term_rows.size:
+    live_rows = rows[live]
+    live_idx = idx[live]
+    terminal = np.equal(node.child[live_idx], None)
+    if terminal.any():
         if level == 0:
             raise _Ineligible("terminal-at-pml4")
-        term_pos = live_pos[terminal]
-        out.T[term_rows] = level
-        out.present[term_rows] = True
-        out.pfn[term_rows] = arrays.pfn[term_pos]
-        out.user[term_rows] = arrays.user[term_pos]
-        out.writable[term_rows] = arrays.writable[term_pos]
-        out.dirty[term_rows] = arrays.dirty[term_pos]
-        out.flag_objs[term_rows] = arrays.flag_objs[term_pos]
-    dir_rows = live_rows[~terminal]
-    if dir_rows.size:
+        term_rows = live_rows[terminal]
+        out.pfn[term_rows] = node.pfn[live_idx[terminal]]
+        out.flags[term_rows] = flags[live][terminal]
+    if not terminal.all():
         if level == 3:
             raise _Ineligible("malformed-pt")
-        dir_pos = live_pos[~terminal]
-        for slot in sorted(set(dir_pos.tolist())):
+        dir_rows = live_rows[~terminal]
+        dir_idx = live_idx[~terminal]
+        for slot in sorted(set(dir_idx.tolist())):
             _resolve(
-                arrays.children[slot], level + 1,
-                dir_rows[dir_pos == slot], idx_cols, out,
+                node.child[slot], level + 1,
+                dir_rows[dir_idx == slot], idx_cols, out,
             )
 
 
@@ -219,7 +162,7 @@ class _Plan:
     __slots__ = ("n", "T", "present", "idx_all", "node_ids", "term_node",
                  "term_idx", "run_first", "boundary", "trans_base",
                  "op_base", "assist", "has_assist", "fill_mask", "walks2",
-                 "vpn", "pfn", "flag_objs", "page_size", "size_code", "hit",
+                 "vpn", "pfn", "flags", "page_size", "size_code", "hit",
                  "hit_rows", "hit_entries", "hit_l2", "user")
 
 
@@ -322,7 +265,8 @@ def _compile(core, vas, op):
         return str(exc)
 
     T = out.T
-    present = out.present
+    present = out.flags & _PRESENT != 0
+    user = out.flags & _USER != 0
     vpn = (vas >> _VPN_SHIFT_OF_LEVEL[T]).astype(np.int64)
     size_code = _CODE_OF_LEVEL[T]
     cpu = core.cpu
@@ -367,7 +311,7 @@ def _compile(core, vas, op):
             hit_rows = np.flatnonzero(hit)
             hit_keys = cand[matches[:, hit_rows].argmax(axis=0), hit_rows]
     fill_mask = present & ~hit \
-        & (out.user | cpu.fills_tlb_for_supervisor_user_probe)
+        & (user | cpu.fills_tlb_for_supervisor_user_probe)
     fill_keys = (vpn * 4 + size_code)[fill_mask]
     if fill_keys.size and cached.size and _member(cached, fill_keys).any():
         return "fill-collision"
@@ -397,12 +341,12 @@ def _compile(core, vas, op):
     plan.n = n
     plan.T = T
     plan.present = present
-    plan.user = out.user
+    plan.user = user
     plan.idx_all = np.stack(idx_cols)
     plan.node_ids = out.node_ids
     plan.vpn = vpn
     plan.pfn = out.pfn
-    plan.flag_objs = out.flag_objs
+    plan.flags = out.flags
     plan.page_size = _SIZE_OF_LEVEL_ARR[T]
     plan.size_code = size_code
     plan.fill_mask = fill_mask
@@ -416,15 +360,17 @@ def _compile(core, vas, op):
     plan.trans_base = timing.base + timing.level_step * (T + 1)
     if op == "load":
         plan.op_base = cpu.load_base
-        plan.has_assist = ~(present & out.user)
+        plan.has_assist = ~(present & user)
         plan.assist = np.where(plan.has_assist, cpu.assist_load, 0)
     else:
         plan.op_base = cpu.store_base
-        plan.has_assist = ~(present & out.user & out.writable & out.dirty)
+        writable = out.flags & _WRITABLE != 0
+        dirty = out.flags & _DIRTY != 0
+        plan.has_assist = ~(present & user & writable & dirty)
         plan.assist = np.where(
             ~present, cpu.assist_store_fault,
-            np.where(~out.user | ~out.writable, cpu.assist_store,
-                     np.where(~out.dirty, cpu.assist_dirty, 0)),
+            np.where(~user | ~writable, cpu.assist_store,
+                     np.where(~dirty, cpu.assist_dirty, 0)),
         )
     # a hit row's assist comes from the cached entry's flags, which a
     # chaos remap may have left behind the page table
@@ -631,13 +577,12 @@ def _replay_buckets(tlb, plan, done, hits):
     refreshed = set()
     hit_index = dict(zip(plan.hit_rows[:hits].tolist(), range(hits)))
     rows = np.flatnonzero(plan.fill_mask[:done] | plan.hit[:done])
-    for row, vpn, pfn, size in zip(rows.tolist(), plan.vpn[rows].tolist(),
-                                   plan.pfn[rows].tolist(),
-                                   plan.page_size[rows].tolist()):
+    for row, vpn, pfn, word, size in zip(
+            rows.tolist(), plan.vpn[rows].tolist(), plan.pfn[rows].tolist(),
+            plan.flags[rows].tolist(), plan.page_size[rows].tolist()):
         k = hit_index.get(row)
         if k is None:
-            entry = TLBEntry(vpn, pfn, plan.flag_objs[row], size, False,
-                             asid)
+            entry = TLBEntry(vpn, pfn, page_flags(word), size, False, asid)
             arrays = (tlb.l1[size],) if size == PAGE_SIZE_1G \
                 else (tlb.l1[size], stlb)
         else:

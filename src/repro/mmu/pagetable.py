@@ -14,6 +14,8 @@ whether a walk's memory accesses hit the data cache (hot) or go to DRAM
 
 import itertools
 
+import numpy as np
+
 from repro.errors import AddressError, MappingError
 from repro.mmu.frames import FrameAllocator, PhysicalMemory
 from repro.mmu.address import (
@@ -38,64 +40,55 @@ _node_ids = itertools.count(1)
 #: permissive flags used for non-terminal (directory) entries, mirroring
 #: how Linux sets intermediate entries maximally permissive and enforces
 #: permissions at the leaf.
-_DIR_FLAGS = PageFlags.PRESENT | PageFlags.WRITABLE | PageFlags.USER
+_DIR_FLAGS = int(PageFlags.PRESENT | PageFlags.WRITABLE | PageFlags.USER)
+_PRESENT = int(PageFlags.PRESENT)
+#: the bits ``protect`` keeps from the old leaf
+_KEPT_BITS = int(PageFlags.HUGE | PageFlags.GLOBAL)
+
+#: flag word -> :class:`PageFlags`, filled as words are first read: an
+#: IntFlag construction costs ~1 us, a dict hit a tenth of that
+_PAGE_FLAGS = {}
 
 
-class Entry:
-    """One slot of a paging structure: either a directory or a leaf."""
-
-    __slots__ = ("flags", "pfn", "child")
-
-    def __init__(self, flags=PageFlags.NONE, pfn=None, child=None):
-        self.flags = flags
-        self.pfn = pfn
-        self.child = child
-
-    @property
-    def is_terminal(self):
-        return self.child is None
+def page_flags(word):
+    """The :class:`PageFlags` of a node's flag word."""
+    flags = _PAGE_FLAGS.get(word)
+    if flags is None:
+        flags = _PAGE_FLAGS[word] = PageFlags(word)
+    return flags
 
 
 class Node:
-    """One paging structure (512 entries, stored sparsely).
+    """One paging structure: its 512 slots as three dense columns.
 
-    Every write to ``entries`` goes through a method here and drops
-    ``columns``, the columnar engine's image of the node
-    (:func:`repro.cpu.columnar._node_arrays`), so no image is stale.
+    ``flags`` holds each slot's PTE bits (uint64; 0 is an empty slot),
+    ``pfn`` a leaf's frame (int64) and ``child`` a directory slot's
+    next-level node (None for a leaf or an empty slot).  The columnar
+    engine (:func:`repro.cpu.columnar._resolve`) gathers from these
+    columns directly, so a write to them is all there is to keep in
+    sync.
     """
 
-    __slots__ = ("node_id", "level", "entries", "columns")
+    __slots__ = ("node_id", "level", "flags", "pfn", "child")
 
     def __init__(self, level):
         self.node_id = next(_node_ids)
         self.level = level
-        self.entries = {}
-        self.columns = None
-
-    def put(self, items):
-        """Install ``{index: entry}`` items (new or replacing)."""
-        self.entries.update(items)
-        self.columns = None
-
-    def remove(self, index):
-        del self.entries[index]
-        self.columns = None
-
-    def add_flags(self, entry, flags):
-        """OR ``flags`` into ``entry``, one of this node's entries."""
-        entry.flags |= flags
-        self.columns = None
+        self.flags = np.zeros(512, dtype=np.uint64)
+        self.pfn = np.zeros(512, dtype=np.int64)
+        self.child = np.full(512, None, dtype=object)
 
     def ensure_child(self, index):
-        entry = self.entries.get(index)
-        if entry is None:
-            entry = Entry(flags=_DIR_FLAGS, child=Node(self.level + 1))
-            self.put({index: entry})
-        elif entry.child is None:
-            raise MappingError(
-                "level-{} entry {} already terminal".format(self.level, index)
-            )
-        return entry.child
+        child = self.child[index]
+        if child is None:
+            if self.flags[index]:
+                raise MappingError(
+                    "level-{} entry {} already terminal".format(
+                        self.level, index)
+                )
+            child = self.child[index] = Node(self.level + 1)
+            self.flags[index] = _DIR_FLAGS
+        return child
 
 
 class Translation:
@@ -195,15 +188,16 @@ class PageTable:
         for level in range(terminal_level):
             node = node.ensure_child(indices[level])
         index = indices[terminal_level]
-        existing = node.entries.get(index)
+        child = node.child[index]
         # a directory entry whose child table is empty (left behind by
         # ``unmap``) maps nothing, so a huge page may replace it
-        if existing is not None and existing.flags & PageFlags.PRESENT \
-                and (existing.child is None or existing.child.entries):
+        if node.flags[index] and (child is None or child.flags.any()):
             raise MappingError("va {:#x} already mapped".format(va))
         if page_size != PAGE_SIZE:
             flags |= PageFlags.HUGE
-        node.put({index: Entry(flags=flags, pfn=pfn)})
+        node.flags[index] = flags
+        node.pfn[index] = pfn
+        node.child[index] = None
         _bump_generation()
 
     def map_run(self, va, pfn, count, flags):
@@ -212,9 +206,10 @@ class PageTable:
         Builds the same tree as ``count`` calls of :meth:`map` over
         ascending VAs and PFNs (directories are created in the same
         order, so node ids match), but walks from the PML4 once per PT
-        node the run crosses and fills that node's contiguous PTEs
-        directly.  A PT node is checked for overlaps before any of its
-        PTEs is written.  The mutation generation moves once per run.
+        node the run crosses and writes that node's slots as one slice
+        of each column.  A PT node is checked for overlaps before any of
+        its slots is written.  The mutation generation moves once per
+        run.
         """
         va = check_canonical(va)
         if count < 1:
@@ -223,7 +218,8 @@ class PageTable:
             raise MappingError(
                 "va {:#x} not aligned to page size {:#x}".format(va, PAGE_SIZE)
             )
-        if not flags & PageFlags.PRESENT:
+        word = int(flags)
+        if not word & _PRESENT:
             raise MappingError("terminal mappings must be PRESENT")
         last = va + (count - 1) * PAGE_SIZE
         if check_canonical(last) != last \
@@ -241,21 +237,16 @@ class PageTable:
             pml4, pdpt, pd, first = split_indices(vpn << PAGE_SHIFT)
             node = root.ensure_child(pml4).ensure_child(pdpt) \
                 .ensure_child(pd)
-            entries = node.entries
-            slots = range(first, min(512, first + end - vpn))
-            if entries and not entries.keys().isdisjoint(slots):
-                for index in slots:
-                    existing = entries.get(index)
-                    if existing is not None \
-                            and existing.flags & PageFlags.PRESENT:
-                        raise MappingError("va {:#x} already mapped".format(
-                            (vpn + index - first) << PAGE_SHIFT
-                        ))
-            node.put(zip(slots, map(
-                Entry, itertools.repeat(flags), range(pfn, pfn + len(slots))
-            )))
-            pfn += len(slots)
-            vpn += len(slots)
+            stop = min(512, first + end - vpn)
+            slots = node.flags[first:stop]
+            if np.count_nonzero(slots):
+                raise MappingError("va {:#x} already mapped".format(
+                    (vpn + int(np.flatnonzero(slots)[0])) << PAGE_SHIFT
+                ))
+            slots[:] = word
+            node.pfn[first:stop] = np.arange(pfn, pfn + stop - first)
+            pfn += stop - first
+            vpn += stop - first
 
     def unmap(self, va):
         """Remove the terminal mapping covering ``va``.
@@ -264,49 +255,44 @@ class PageTable:
         structures are retained (as real kernels usually do), so a later
         walk of the same address terminates at the old terminal level.
         """
-        node, index, entry, level = self._find_terminal(va)
-        if entry is None:
-            raise MappingError("va {:#x} is not mapped".format(va))
-        node.remove(index)
+        node, index, level = self._find_terminal(va)
+        node.flags[index] = 0
         _bump_generation()
         return _SIZE_OF_LEVEL[level]
 
     def protect(self, va, flags):
         """Replace the permission flags of the mapping covering ``va``."""
-        node, index, entry, level = self._find_terminal(va)
-        if entry is None:
-            raise MappingError("va {:#x} is not mapped".format(va))
-        keep = entry.flags & (PageFlags.HUGE | PageFlags.GLOBAL)
-        if not flags & PageFlags.PRESENT:
+        node, index, __ = self._find_terminal(va)
+        if flags & PageFlags.PRESENT:
+            node.flags[index] = flags | node.flags.item(index) & _KEPT_BITS
+        else:
             # PROT_NONE: drop the leaf, like Linux clearing the present bit.
-            node.remove(index)
-            _bump_generation()
-            return
-        node.put({index: Entry(flags=flags | keep, pfn=entry.pfn)})
+            node.flags[index] = 0
         _bump_generation()
 
     def set_flag(self, va, flag):
         """OR ``flag`` into the terminal entry covering ``va`` (A/D bits)."""
-        node, __, entry, __ = self._find_terminal(va)
-        if entry is None:
-            raise MappingError("va {:#x} is not mapped".format(va))
-        if entry.flags & flag != flag:
-            node.add_flags(entry, flag)
+        node, index, __ = self._find_terminal(va)
+        word = node.flags.item(index)
+        if word | int(flag) != word:
+            node.flags[index] = word | int(flag)
             _bump_generation()
 
     # -- lookup ------------------------------------------------------------
 
     def _find_terminal(self, va):
-        """Return (node, index, entry, level) of the terminal entry, if any."""
+        """Return (node, index, level) of the terminal entry covering
+        ``va``; raise MappingError when there is none."""
         indices = split_indices(va)
         node = self.root
         for level in range(4):
-            entry = node.entries.get(indices[level])
-            if entry is None:
-                return node, indices[level], None, level
-            if entry.is_terminal:
-                return node, indices[level], entry, level
-            node = entry.child
+            index = indices[level]
+            if not node.flags[index]:
+                raise MappingError("va {:#x} is not mapped".format(va))
+            child = node.child[index]
+            if child is None:
+                return node, index, level
+            node = child
         raise MappingError("malformed page table at {:#x}".format(va))
 
     def lookup(self, va):
@@ -335,19 +321,21 @@ class PageTable:
         touched = []
         for level in range(4):
             touched.append((level, node.node_id))
-            entry = node.entries.get(indices[level])
-            if entry is None or not entry.flags & PageFlags.PRESENT:
+            index = indices[level]
+            word = node.flags.item(index)
+            if not word & _PRESENT:
                 return Lookup(None, level, touched, indices)
-            if entry.is_terminal:
+            child = node.child[index]
+            if child is None:
                 translation = Translation(
                     va,
-                    entry.pfn,
-                    entry.flags,
+                    node.pfn.item(index),
+                    page_flags(word),
                     _SIZE_OF_LEVEL[level],
                     level,
                 )
                 return Lookup(translation, level, touched, indices)
-            node = entry.child
+            node = child
         raise MappingError("malformed page table at {:#x}".format(va))
 
     def is_mapped(self, va):
@@ -362,28 +350,34 @@ class PageTable:
         This is how kernels share the kernel half between per-process page
         tables: top-level entries point at the same lower structures.
         """
-        entry = other.root.entries.get(pml4_index)
-        if entry is None:
+        child = other.root.child[pml4_index]
+        if child is None:
             raise MappingError(
                 "source PML4 slot {} is empty".format(pml4_index)
             )
-        self.root.put({pml4_index: entry})
+        self.root.flags[pml4_index] = other.root.flags[pml4_index]
+        self.root.child[pml4_index] = child
         _bump_generation()
 
     def iter_terminal(self):
-        """Yield (va_base, entry, page_size) for every present leaf."""
+        """Yield (va_base, translation, page_size) for every present
+        leaf, in index order."""
 
         def walk(node, prefix, level):
-            for index, entry in sorted(node.entries.items()):
+            for index in np.flatnonzero(node.flags).tolist():
                 va = prefix | (index << (39 - 9 * level))
-                if entry.is_terminal:
-                    if entry.flags & PageFlags.PRESENT:
-                        base = va
-                        if base >> 47 & 1:
-                            base |= 0xFFFF_0000_0000_0000
-                        yield base, entry, _SIZE_OF_LEVEL[level]
-                else:
-                    yield from walk(entry.child, va, level + 1)
+                child = node.child[index]
+                if child is not None:
+                    yield from walk(child, va, level + 1)
+                    continue
+                word = node.flags.item(index)
+                if word & _PRESENT:
+                    if va >> 47 & 1:
+                        va |= 0xFFFF_0000_0000_0000
+                    size = _SIZE_OF_LEVEL[level]
+                    yield va, Translation(va, node.pfn.item(index),
+                                          page_flags(word), size,
+                                          level), size
 
         yield from walk(self.root, 0, 0)
 

@@ -1,12 +1,14 @@
-"""One generator of random page-table writes, shared by the tests.
+"""Page-table helpers shared by the tests.
 
-``TestAddressSpaceAgainstModel`` (``test_property_mmu.py``) checks each
-write against a dict-of-pages model; ``TestDifferentialFuzz``
-(``test_columnar.py``) sweeps with every engine between writes.  Both
-draw their writes from :func:`page_table_steps`, each over its own
-address populations.
+* :func:`page_table_steps` is the one generator of random page-table
+  writes.  ``TestAddressSpaceAgainstModel`` (``test_property_mmu.py``)
+  checks each write against a dict-of-pages model;
+  ``TestDifferentialFuzz`` (``test_columnar.py``) sweeps with every
+  engine between writes.  Each draws over its own address populations.
+* :func:`walk_nodes` is the one traversal of a table's node tree.
 """
 
+import numpy as np
 from hypothesis import strategies as st
 
 from repro.mmu.address import PAGE_SIZE, PAGE_SIZE_1G, PAGE_SIZE_2M
@@ -68,3 +70,16 @@ def writers(space):
         "map_range": space.map_range, "unmap": table.unmap,
         "protect": table.protect, "set_flag": table.set_flag,
     }
+
+
+def walk_nodes(table):
+    """``(path, node)`` for every paging structure of ``table``, top
+    down and in index order; ``path`` is the tuple of slot indices
+    leading to ``node`` (empty for the root)."""
+
+    def walk(node, path):
+        yield path, node
+        for index in np.flatnonzero(node.child).tolist():
+            yield from walk(node.child[index], path + (index,))
+
+    return walk(table.root, ())

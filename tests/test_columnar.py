@@ -51,7 +51,7 @@ from repro.mmu.flags import PageFlags
 from repro.obs import Tracer
 from repro.os.linux import layout
 
-from tests.pagetable_steps import page_table_steps, writers
+from tests.pagetables import page_table_steps, writers
 
 CPUS = ["i5-12400F", "i7-1065G7", "ryzen5-5600X"]
 
@@ -480,14 +480,16 @@ def _fuzz_pools(machine):
     }
 
 
-def _fuzz_writes(pools):
-    """Page-table steps over the user pools a sweep draws from: the
-    model test's generator, at these VAs."""
+def _fuzz_writes(pools, swept):
+    """Page-table steps over the user pages of the last sweep (or every
+    user pool before the first): the model test's generator, at these
+    VAs."""
     user = pools["mapped"] + pools["unmapped"] + pools["huge"]
+    vas = sorted(set(swept).intersection(user)) or user
     return page_table_steps(
-        st.sampled_from(user),
+        st.sampled_from(vas),
         st.sampled_from([pools["huge"][0], pools["huge"][0] + PAGE_SIZE_2M]),
-        st.sampled_from(user),
+        st.sampled_from(vas),
     )
 
 
@@ -527,8 +529,9 @@ class TestDifferentialFuzz:
     break's two passes), kernel-mode TLB fills under KPTI's PCID tag,
     pages dirtied behind the TLB's back, and page-table writes (maps
     and runs at 4 KiB and 2 MiB, unmaps, re-protections) over the swept
-    user pages without a TLB flush, drawn from the model test's
-    generator; each raises the same error, or none, on every twin.
+    user pages, drawn from the model test's generator, with or without
+    an INVLPG of the written VA; each raises the same error, or none,
+    on every twin, and the last sweep runs again after it.
     After every step batched
     and columnar agree bit for bit (matrix, clock, PMU, TLB image,
     walker, RNG, chaos schedule); per-op agrees on clock, PMU, TLB
@@ -572,7 +575,9 @@ class TestDifferentialFuzz:
                     machine.core.kernel_touch(vas)
                 continue
             if step == "page-table":
-                write = data.draw(_fuzz_writes(pools), label="write")
+                write = data.draw(_fuzz_writes(
+                    pools, (sweep or {}).get("vas", ())), label="write")
+                invlpg = data.draw(st.booleans(), label="invlpg")
                 raised = []
                 for machine in machines.values():
                     try:
@@ -582,8 +587,11 @@ class TestDifferentialFuzz:
                         raised.append(type(error))
                     else:
                         raised.append(None)
+                    if invlpg:
+                        machine.core.invlpg(write[1])
                 assert len(set(raised)) == 1, write
-                continue
+                # no continue: the last sweep, whose pages the write
+                # targeted, runs again below
             if step == "dirty":
                 table = machines["batched"].core.address_space.page_table
                 live = [va for va in pools["mapped"] if table.is_mapped(va)]

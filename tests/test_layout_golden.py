@@ -18,22 +18,17 @@ import pytest
 from repro.cpu.models import CPU_CATALOG
 from repro.machine import Machine
 
+from tests.pagetables import walk_nodes
+
 
 def _table_record(table):
     root_id = table.root.node_id
     leaves = sorted(
-        (va, entry.pfn, int(entry.flags), size)
-        for va, entry, size in table.iter_terminal()
+        (va, leaf.pfn, int(leaf.flags), size)
+        for va, leaf, size in table.iter_terminal()
     )
-    shape = []
-
-    def walk(node, path):
-        shape.append((path, node.level, node.node_id - root_id))
-        for index, entry in sorted(node.entries.items()):
-            if entry.child is not None:
-                walk(entry.child, path + [index])
-
-    walk(table.root, [])
+    shape = [(path, node.level, node.node_id - root_id)
+             for path, node in walk_nodes(table)]
     return {"leaves": leaves, "shape": shape}
 
 

@@ -1,11 +1,15 @@
 """4-level page tables: mapping, permissions, lookups, KPTI sharing."""
 
+import gc
+
 import pytest
 
 from repro.errors import MappingError
 from repro.mmu.address import PAGE_SIZE, PAGE_SIZE_1G, PAGE_SIZE_2M
 from repro.mmu.flags import PageFlags
 from repro.mmu.pagetable import AddressSpace, PageTable
+
+from tests.pagetables import walk_nodes
 
 USER_RW = PageFlags.PRESENT | PageFlags.USER | PageFlags.WRITABLE
 KERNEL = PageFlags.PRESENT
@@ -232,3 +236,20 @@ class TestAddressSpace:
     def test_bad_size_rejected(self):
         with pytest.raises(MappingError):
             AddressSpace().map_range(0x10000, 100, USER_RW)
+
+
+class TestDenseNodes:
+    def test_run_adds_no_object_per_page(self):
+        """A node holds its slots as columns: a 4,000-page run over nine
+        PT nodes adds a few GC-tracked objects per node, not one per
+        page."""
+        table = PageTable()
+        table.map_run(PAGE_SIZE_1G - 100 * PAGE_SIZE, 1, 10, USER_RW)
+        before = len(gc.get_objects())
+        table.map_run(PAGE_SIZE_1G - 7 * PAGE_SIZE, 100, 4000, USER_RW)
+        added = len(gc.get_objects()) - before
+        nodes = sum(1 for __ in walk_nodes(table))
+        assert nodes == 13
+        assert added <= 4 * nodes, added
+        assert table.lookup(PAGE_SIZE_1G + 3992 * PAGE_SIZE) \
+            .translation.pfn == 4099

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cpu import columnar
 from repro.errors import AddressError, MappingError
 
 from repro.mmu.address import (
@@ -22,7 +21,7 @@ from repro.mmu.pagetable import AddressSpace, PageTable
 from repro.mmu.psc import PagingStructureCache
 from repro.mmu.tlb import TLB, TLBEntry
 
-from tests.pagetable_steps import page_table_steps, writers
+from tests.pagetables import page_table_steps, walk_nodes, writers
 
 #: canonical user-half addresses
 user_vas = st.integers(min_value=0, max_value=0x0000_7FFF_FFFF_FFFF)
@@ -201,22 +200,14 @@ prior_offsets = st.lists(
 
 
 def _leaves(table):
-    return [(va, entry.pfn, int(entry.flags), size)
-            for va, entry, size in table.iter_terminal()]
+    return [(va, leaf.pfn, int(leaf.flags), size)
+            for va, leaf, size in table.iter_terminal()]
 
 
 def _shape(table):
     root_id = table.root.node_id
-    shape = []
-
-    def walk(node, path):
-        shape.append((path, node.level, node.node_id - root_id))
-        for index, entry in sorted(node.entries.items()):
-            if entry.child is not None:
-                walk(entry.child, path + (index,))
-
-    walk(table.root, ())
-    return shape
+    return [(path, node.level, node.node_id - root_id)
+            for path, node in walk_nodes(table)]
 
 
 def _lookup_record(table, va):
@@ -478,30 +469,10 @@ def _step_vas(step):
     return {va, va + PAGE_SIZE, va + span - PAGE_SIZE, va + span}
 
 
-def _reachable(*roots):
-    seen = {}
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen[id(node)] = node
-            stack.extend(entry.child for entry in node.entries.values()
-                         if entry.child is not None)
-    return list(seen.values())
-
-
 def _table_state(table):
     """Every leaf, and every node with its index path and id."""
-    nodes = []
-
-    def walk(node, path):
-        nodes.append((path, node.node_id))
-        for index, entry in sorted(node.entries.items()):
-            if entry.child is not None:
-                walk(entry.child, path + (index,))
-
-    walk(table.root, ())
-    return _leaves(table), nodes
+    return _leaves(table), [(path, node.node_id)
+                            for path, node in walk_nodes(table)]
 
 
 def _record(table, va):
@@ -517,9 +488,7 @@ class TestAddressSpaceAgainstModel:
     A second table aliases PML4 slots of the first, as KPTI's user
     table does.  After every step the lookups of every touched VA in
     both tables, the raised error type and the whole tree match the
-    model, and every node's columnar image equals a fresh one.  Images
-    are built before each step, so an image a write failed to outdate
-    would be served.
+    model.
     """
 
     @given(st.lists(_space_steps, min_size=1, max_size=12))
@@ -531,8 +500,6 @@ class TestAddressSpaceAgainstModel:
         model = _SpaceModel()
         touched = set()
         for step in steps:
-            for node in _reachable(table.root, alias.root):
-                columnar._node_arrays(node)
             if isinstance(step[1], tuple):
                 leaves = sorted(model.leaves)
                 va = _index_va(leaves[step[1][1] % len(leaves)]) \
@@ -565,9 +532,10 @@ class TestAddressSpaceAgainstModel:
                 for path, (pfn, flags) in model.leaves.items())
             assert {path for path, __ in _table_state(table)[1][1:]} \
                 == model.dirs
-            assert set(alias.root.entries) == model.shared
+            assert set(np.flatnonzero(alias.root.flags).tolist()) \
+                == model.shared
             for slot in model.shared:
-                assert alias.root.entries[slot] is table.root.entries[slot]
+                assert alias.root.child[slot] is table.root.child[slot]
             for va in sorted(touched):
                 want = model.lookup(va)
                 assert _record(table, va) == want, hex(va)
@@ -575,14 +543,3 @@ class TestAddressSpaceAgainstModel:
                 assert (translation is None) == (want[1] is None)
                 shared = split_indices(va)[0] in model.shared
                 assert _record(alias, va) == (want if shared else (0, None))
-            for node in _reachable(table.root, alias.root):
-                served = columnar._node_arrays(node)
-                fresh = columnar._NodeArrays(node)
-                for name in columnar._NodeArrays.__slots__:
-                    got, want = getattr(served, name), getattr(fresh, name)
-                    if isinstance(want, np.ndarray):
-                        assert got.dtype == want.dtype, name
-                        assert np.array_equal(got, want), (name, step)
-                    else:
-                        assert len(got) == len(want), name
-                        assert all(a is b for a, b in zip(got, want)), name
