@@ -59,7 +59,8 @@ def check_canonical(va):
 def split_indices(va):
     """Return the (pml4, pdpt, pd, pt) index tuple of ``va``."""
     va = check_canonical(va)
-    return tuple((va >> shift) & _INDEX_MASK for shift in LEVEL_SHIFTS)
+    return (va >> 39 & _INDEX_MASK, va >> 30 & _INDEX_MASK,
+            va >> 21 & _INDEX_MASK, va >> 12 & _INDEX_MASK)
 
 
 def page_offset(va, page_size=PAGE_SIZE):

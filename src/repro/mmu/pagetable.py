@@ -76,7 +76,7 @@ class Node:
         self.level = level
         self.flags = np.zeros(512, dtype=np.uint64)
         self.pfn = np.zeros(512, dtype=np.int64)
-        self.child = np.full(512, None, dtype=object)
+        self.child = np.empty(512, dtype=object)  # all None
 
     def ensure_child(self, index):
         child = self.child[index]
