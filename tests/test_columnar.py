@@ -531,10 +531,9 @@ class TestDifferentialFuzz:
     and runs at 4 KiB and 2 MiB, unmaps, re-protections) over the swept
     user pages, drawn from the model test's generator, with or without
     an INVLPG of the written VA; each raises the same error, or none,
-    on every twin, and the last sweep runs again after it.
-    After every step batched
-    and columnar agree bit for bit (matrix, clock, PMU, TLB image,
-    walker, RNG, chaos schedule); per-op agrees on clock, PMU, TLB
+    on every twin, and the last sweep runs again after it.  After every
+    step batched and columnar agree bit for bit (matrix, clock, PMU,
+    TLB image, walker, RNG, chaos schedule); per-op agrees on clock, PMU, TLB
     buckets, walker and chaos schedule, and on the TLB hit/miss counters
     while no sweep has replayed more than two ops per address.  With
     ``traced`` drawn, a tracer on the batched and columnar twins must
