@@ -121,13 +121,13 @@ class Translation:
 class Lookup:
     """Structural walk outcome: translation or termination level.
 
-    ``indices`` carries the per-level VA indices so consumers that hold a
-    cached Lookup (the timed walker) need not recompute them.
+    ``indices`` carries the per-level VA indices, so the timed walker
+    need not split the VA again.
     """
 
     __slots__ = ("translation", "terminal_level", "nodes", "indices")
 
-    def __init__(self, translation, terminal_level, nodes, indices=None):
+    def __init__(self, translation, terminal_level, nodes, indices):
         self.translation = translation
         self.terminal_level = terminal_level
         self.nodes = nodes
@@ -138,36 +138,19 @@ class Lookup:
         return self.translation is not None
 
 
-#: Global structural-mutation counter.  It is bumped by *any* mutation of
-#: *any* page table; per-table lookup caches are tagged with the value
-#: they were filled under and dropped wholesale when it moves.  A global
-#: counter (rather than per-table) keeps aliased subtrees correct: KPTI
-#: tables share PML4 slots via :meth:`PageTable.share_top_level_from`, so
-#: a mutation through one table must invalidate lookups cached by the
-#: other.
-_mutation_generation = 0
-
-
-def _bump_generation():
-    global _mutation_generation
-    _mutation_generation += 1
-
-
 class PageTable:
     """A full 4-level page-table tree rooted at a PML4.
 
-    Repeated structural lookups of the same VA are memoized in a
-    generation-tagged cache: probe sweeps hit the same addresses over and
-    over, and the radix traversal dominates their cost.  Any mutation
-    (``map``/``map_run``/``unmap``/``protect``/flag updates/top-level
-    sharing) bumps the global generation, which drops every table's
-    cached lookups.
+    The table holds nothing but its root: every :meth:`lookup` reads
+    the node columns as they are now, so a write is seen by the next
+    lookup through this table and through any table that aliases the
+    written subtree.
     """
+
+    __slots__ = ("root",)
 
     def __init__(self):
         self.root = Node(level=0)
-        self._lookup_cache = {}
-        self._cache_generation = _mutation_generation
 
     # -- construction -----------------------------------------------------
 
@@ -198,7 +181,6 @@ class PageTable:
         node.flags[index] = flags
         node.pfn[index] = pfn
         node.child[index] = None
-        _bump_generation()
 
     def map_run(self, va, pfn, count, flags):
         """Map ``count`` 4 KiB pages at ``va`` to the frames from ``pfn`` on.
@@ -208,8 +190,8 @@ class PageTable:
         order, so node ids match), but walks from the PML4 once per PT
         node the run crosses and writes that node's slots as one slice
         of each column.  A PT node is checked for overlaps before any of
-        its slots is written.  The mutation generation moves once per
-        run.
+        its slots is written, but a run that fails part-way keeps the
+        PT nodes it has already filled.
         """
         va = check_canonical(va)
         if count < 1:
@@ -227,9 +209,6 @@ class PageTable:
             raise AddressError(
                 "run {:#x}..{:#x} leaves the canonical half".format(va, last)
             )
-        # bumped up front: nothing looks up a table while the run fills
-        # it, and a run that fails part-way has still mutated
-        _bump_generation()
         vpn = va >> PAGE_SHIFT
         end = vpn + count
         root = self.root
@@ -257,7 +236,6 @@ class PageTable:
         """
         node, index, level = self._find_terminal(va)
         node.flags[index] = 0
-        _bump_generation()
         return _SIZE_OF_LEVEL[level]
 
     def protect(self, va, flags):
@@ -268,15 +246,11 @@ class PageTable:
         else:
             # PROT_NONE: drop the leaf, like Linux clearing the present bit.
             node.flags[index] = 0
-        _bump_generation()
 
     def set_flag(self, va, flag):
         """OR ``flag`` into the terminal entry covering ``va`` (A/D bits)."""
         node, index, __ = self._find_terminal(va)
-        word = node.flags.item(index)
-        if word | int(flag) != word:
-            node.flags[index] = word | int(flag)
-            _bump_generation()
+        node.flags[index] = node.flags.item(index) | int(flag)
 
     # -- lookup ------------------------------------------------------------
 
@@ -299,22 +273,9 @@ class PageTable:
         """Walk structurally (no timing) and return a :class:`Lookup`.
 
         ``nodes`` lists the (level, node_id) pairs of every paging
-        structure the hardware would read, in top-down order.  Results are
-        memoized per VA until the next structural mutation.
+        structure the hardware would read, in top-down order.  Each call
+        walks the node columns afresh and returns a new Lookup.
         """
-        if self._cache_generation != _mutation_generation:
-            self._lookup_cache.clear()
-            self._cache_generation = _mutation_generation
-        else:
-            cached = self._lookup_cache.get(va)
-            if cached is not None:
-                return cached
-        result = self._lookup_uncached(va)
-        self._lookup_cache[va] = result
-        return result
-
-    def _lookup_uncached(self, va):
-        """The raw radix traversal behind :meth:`lookup` (never cached)."""
         va = check_canonical(va)
         indices = split_indices(va)
         node = self.root
@@ -357,7 +318,6 @@ class PageTable:
             )
         self.root.flags[pml4_index] = other.root.flags[pml4_index]
         self.root.child[pml4_index] = child
-        _bump_generation()
 
     def iter_terminal(self):
         """Yield (va_base, translation, page_size) for every present

@@ -119,20 +119,15 @@ class PageTableWalker:
         #: attribute chase.
         self.obs = None
 
-    def walk(self, page_table, va, fill_psc=True, lookup=None):
+    def walk(self, page_table, va, fill_psc=True):
         """Perform one timed walk of ``va`` through ``page_table``.
 
-        ``lookup`` may carry a pre-resolved structural
-        :class:`~repro.mmu.pagetable.Lookup` of the same VA (e.g. from the
-        page table's memoizing cache) so the walk skips the radix
-        traversal; timing and cache effects are charged identically.
+        The structural :meth:`~repro.mmu.pagetable.PageTable.lookup` says
+        which paging structures the walk reads; the PSC, the paging-line
+        cache and the timing parameters say what reading them costs.
         """
-        if lookup is None:
-            lookup = page_table.lookup(va)
-        indices = (
-            lookup.indices if lookup.indices is not None
-            else split_indices(va)
-        )
+        lookup = page_table.lookup(va)
+        indices = lookup.indices
         terminal = lookup.terminal_level
 
         start_level = 0

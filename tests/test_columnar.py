@@ -480,17 +480,44 @@ def _fuzz_pools(machine):
     }
 
 
-def _fuzz_writes(pools, swept):
-    """Page-table steps over the user pages of the last sweep (or every
-    user pool before the first): the model test's generator, at these
-    VAs."""
+def _swept_user(pools, swept):
+    """The user pages of the last sweep, or every user pool before the
+    first."""
     user = pools["mapped"] + pools["unmapped"] + pools["huge"]
-    vas = sorted(set(swept).intersection(user)) or user
+    return sorted(set(swept).intersection(user)) or user
+
+
+def _fuzz_writes(pools, swept):
+    """Page-table steps over the user pages of the last sweep: the model
+    test's generator, at these VAs."""
+    vas = _swept_user(pools, swept)
     return page_table_steps(
         st.sampled_from(vas),
         st.sampled_from([pools["huge"][0], pools["huge"][0] + PAGE_SIZE_2M]),
         st.sampled_from(vas),
     )
+
+
+def _fuzz_syscall(pools, swept, process):
+    """A ``Process`` call ``(name, *args)``: ``mmap`` 1-20 pages
+    (populated, the default) at a user page of the last sweep, or
+    ``munmap`` a whole region over the user pools."""
+    low, high = pools["mapped"][0], pools["huge"][-1]
+    regions = [("munmap", region.start, region.pages)
+               for region in process.regions if low <= region.start <= high]
+    mmap = st.tuples(st.just("mmap"), st.integers(1, 20),
+                     st.sampled_from(["rw-", "r--"]),
+                     st.sampled_from(_swept_user(pools, swept)))
+    return st.one_of(mmap, st.sampled_from(regions)) if regions else mmap
+
+
+def _error_of(call, *args):
+    """The type of the mapping error ``call(*args)`` raises, or None."""
+    try:
+        call(*args)
+    except (MappingError, AddressError) as error:
+        return type(error)
+    return None
 
 
 @st.composite
@@ -565,7 +592,8 @@ class TestDifferentialFuzz:
         for __ in range(data.draw(st.integers(2, 5), label="steps")):
             step = data.draw(st.sampled_from(
                 ["sweep", "sweep", "again", "other-op", "kernel-touch",
-                 "dirty", "page-table", "page-table"]), label="step")
+                 "dirty", "page-table", "page-table", "syscall"]),
+                label="step")
             if step == "kernel-touch":
                 vas = data.draw(st.lists(
                     st.sampled_from(pools["modules"] + pools["slots"]),
@@ -577,23 +605,30 @@ class TestDifferentialFuzz:
                 write = data.draw(_fuzz_writes(
                     pools, (sweep or {}).get("vas", ())), label="write")
                 invlpg = data.draw(st.booleans(), label="invlpg")
-                raised = []
+                raised = set()
                 for machine in machines.values():
-                    try:
-                        writers(machine.core.address_space)[write[0]](
-                            *write[1:])
-                    except (MappingError, AddressError) as error:
-                        raised.append(type(error))
-                    else:
-                        raised.append(None)
+                    raised.add(_error_of(
+                        writers(machine.core.address_space)[write[0]],
+                        *write[1:]))
                     if invlpg:
                         machine.core.invlpg(write[1])
-                assert len(set(raised)) == 1, write
+                assert len(raised) == 1, write
                 # no continue: the last sweep, whose pages the write
                 # targeted, runs again below
+            if step == "syscall":
+                call = data.draw(_fuzz_syscall(
+                    pools, (sweep or {}).get("vas", ()),
+                    machines["batched"].process), label="syscall")
+                raised = {_error_of(getattr(machine.process, call[0]),
+                                    *call[1:])
+                          for machine in machines.values()}
+                assert len(raised) == 1, call
+                # the last sweep runs again below, as after a write
             if step == "dirty":
                 table = machines["batched"].core.address_space.page_table
                 live = [va for va in pools["mapped"] if table.is_mapped(va)]
+                if not live:  # a syscall step unmapped the whole pool
+                    continue
                 swept = [va for va in (sweep or {}).get("vas", ())
                          if va in live]
                 vas = data.draw(st.lists(

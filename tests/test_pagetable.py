@@ -5,7 +5,12 @@ import gc
 import pytest
 
 from repro.errors import MappingError
-from repro.mmu.address import PAGE_SIZE, PAGE_SIZE_1G, PAGE_SIZE_2M
+from repro.mmu.address import (
+    PAGE_SIZE,
+    PAGE_SIZE_1G,
+    PAGE_SIZE_2M,
+    split_indices,
+)
 from repro.mmu.flags import PageFlags
 from repro.mmu.pagetable import AddressSpace, PageTable
 
@@ -176,6 +181,23 @@ class TestSharing:
         kernel.map(va + PAGE_SIZE_2M, 0x20, KERNEL, PAGE_SIZE_2M)
         assert user.lookup(va + PAGE_SIZE_2M).present
 
+    def test_write_through_one_table_is_seen_by_its_alias(self):
+        """KPTI: the user table aliases the kernel table's PML4 slot, so
+        an unmap or a map through the kernel table shows in the user
+        table's next lookup."""
+        kva = 0xFFFF_9000_0000_0000
+        kernel = PageTable()
+        kernel.map(kva, 0x42, KERNEL | PageFlags.WRITABLE)
+        user = PageTable()
+        user.share_top_level_from(kernel, split_indices(kva)[0])
+        assert user.lookup(kva).present
+
+        kernel.unmap(kva)
+        assert not user.lookup(kva).present
+
+        kernel.map(kva, 0x43, KERNEL | PageFlags.WRITABLE)
+        assert user.lookup(kva).translation.pfn == 0x43
+
     def test_share_empty_slot_raises(self):
         with pytest.raises(MappingError):
             PageTable().share_top_level_from(PageTable(), 0)
@@ -253,3 +275,23 @@ class TestDenseNodes:
         assert added <= 4 * nodes, added
         assert table.lookup(PAGE_SIZE_1G + 3992 * PAGE_SIZE) \
             .translation.pfn == 4099
+
+    def test_lookups_keep_no_state(self):
+        """A lookup is the radix traversal alone: 10,000 distinct VAs,
+        mapped and unmapped, in both canonical halves, leave no object
+        behind."""
+        table = PageTable()
+        table.map_run(0x40_0000, 1, 2500, USER_RW)
+        kernel = 0xFFFF_FFFF_8000_0000
+        table.map_run(kernel, 3000, 2500, KERNEL)
+        vas = [base + i * PAGE_SIZE
+               for base in (0x40_0000, 0x7F00_0000_0000, kernel,
+                            0xFFFF_C000_0000_0000)
+               for i in range(2500)]
+        assert len(set(vas)) == 10_000
+        gc.collect()
+        before = len(gc.get_objects())
+        present = sum(table.lookup(va).present for va in vas)
+        gc.collect()
+        assert present == 5000
+        assert len(gc.get_objects()) - before <= 16

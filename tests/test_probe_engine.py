@@ -1,6 +1,6 @@
 """The batched probe engine, cross-validated against the per-op path.
 
-Three layers of guarantees:
+Two layers of guarantees:
 
 * **exactness** -- simulated clock, performance counters, and the
   walker's walk count after a batched sweep equal the per-op loop's
@@ -8,31 +8,19 @@ Three layers of guarantees:
 * **equivalence** -- over multiple CPU models and seeds, the batched
   attacks recover the same KASLR base / module list / Windows region as
   the per-op reference (noise values differ -- the vectorized RNG
-  consumes the stream differently -- but classification outcomes agree);
-* **cache soundness** -- the generation-tagged page-table lookup cache
-  never serves a stale result across map/unmap/protect interleavings,
-  including mutations through KPTI-shared subtrees.
+  consumes the stream differently -- but classification outcomes agree).
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.attacks.kaslr_break import break_kaslr
 from repro.attacks.module_detect import detect_modules
 from repro.attacks.primitives import double_probe_load
 from repro.attacks.windows_break import find_kernel_region
 from repro.cpu.noise import NoiseModel, sample_noise_array
-from repro.errors import MappingError
 from repro.machine import Machine
-from repro.mmu.address import PAGE_SIZE_2M, split_indices
-from repro.mmu.flags import PageFlags
-from repro.mmu.pagetable import PageTable
 from repro.os.linux import layout
-
-USER_RW = PageFlags.PRESENT | PageFlags.USER | PageFlags.WRITABLE
-KERNEL_RW = PageFlags.PRESENT | PageFlags.WRITABLE
 
 
 def _on(machine, engine):
@@ -236,77 +224,3 @@ class TestNoiseKernel:
         np.testing.assert_array_equal(block, np.array(rows_drawn))
         assert block_rng.bit_generator.state == row_rng.bit_generator.state
 
-
-class TestLookupCacheSoundness:
-    """The memoized lookup may never diverge from the raw traversal."""
-
-    _VA_POOL = [0x1000, 0x2000, 0x3000, 0x200000, 0x400000,
-                0x7F00_0000_0000, PAGE_SIZE_2M * 512]
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["map", "unmap", "protect_ro",
-                                 "protect_none", "set_dirty"]),
-                st.sampled_from(_VA_POOL),
-            ),
-            min_size=1,
-            max_size=24,
-        )
-    )
-    def test_cache_agrees_with_uncached_across_interleavings(self, ops):
-        table = PageTable()
-        pfn = 1
-        for action, va in ops:
-            try:
-                if action == "map":
-                    table.map(va, pfn, USER_RW)
-                    pfn += 1
-                elif action == "unmap":
-                    table.unmap(va)
-                elif action == "protect_ro":
-                    table.protect(va, PageFlags.PRESENT | PageFlags.USER)
-                elif action == "protect_none":
-                    table.protect(va, PageFlags.NONE)
-                elif action == "set_dirty":
-                    table.set_flag(va, PageFlags.DIRTY)
-            except MappingError:
-                pass
-            for probe in self._VA_POOL:
-                cached = table.lookup(probe)
-                raw = table._lookup_uncached(probe)
-                assert cached.present == raw.present
-                assert cached.terminal_level == raw.terminal_level
-                assert cached.nodes == raw.nodes
-                if raw.present:
-                    assert cached.translation.pfn == raw.translation.pfn
-                    assert (
-                        cached.translation.flags == raw.translation.flags
-                    )
-                # cached result must keep serving until the next mutation
-                assert table.lookup(probe) is cached
-
-    def test_mutation_through_shared_subtree_invalidates_alias(self):
-        """KPTI: the user table aliases the kernel table's PML4 slots, so
-        a mutation through either table must drop the other's cache."""
-        kva = 0xFFFF_9000_0000_0000
-        kernel = PageTable()
-        kernel.map(kva, 0x42, KERNEL_RW)
-        user = PageTable()
-        user.share_top_level_from(kernel, split_indices(kva)[0])
-        assert user.lookup(kva).present
-
-        kernel.unmap(kva)
-        assert not user.lookup(kva).present
-
-        kernel.map(kva, 0x43, KERNEL_RW)
-        assert user.lookup(kva).translation.pfn == 0x43
-
-    def test_repeated_lookup_returns_cached_object(self):
-        table = PageTable()
-        table.map(0x1000, 0x1, USER_RW)
-        assert table.lookup(0x1000) is table.lookup(0x1000)
-        table.set_flag(0x1000, PageFlags.ACCESSED)
-        refreshed = table.lookup(0x1000)
-        assert refreshed.translation.flags & PageFlags.ACCESSED

@@ -271,7 +271,7 @@ class TestMapRunProperties:
 
     @given(gib_edges, back_pages, run_pages)
     @settings(max_examples=30, deadline=None)
-    def test_cached_lookup_invalidated_by_run(self, edge, back, count):
+    def test_lookup_sees_new_run(self, edge, back, count):
         start = edge - back * PAGE_SIZE
         space = AddressSpace()
         last = start + (count - 1) * PAGE_SIZE
@@ -478,8 +478,16 @@ def _table_state(table):
 def _record(table, va):
     lookup = table.lookup(va)
     translation = lookup.translation
-    return lookup.terminal_level, None if translation is None else (
-        translation.pfn, int(translation.flags), translation.page_size)
+    return lookup.terminal_level, lookup.nodes, None if translation is None \
+        else (translation.pfn, int(translation.flags), translation.page_size)
+
+
+def _path_nodes(table, va, level):
+    """``(level, node_id)`` of each node on ``va``'s path from the root
+    down to ``level``, as :func:`walk_nodes` finds them."""
+    ids = {path: node.node_id for path, node in walk_nodes(table)}
+    indices = split_indices(va)
+    return [(depth, ids[indices[:depth]]) for depth in range(level + 1)]
 
 
 class TestAddressSpaceAgainstModel:
@@ -488,7 +496,7 @@ class TestAddressSpaceAgainstModel:
     A second table aliases PML4 slots of the first, as KPTI's user
     table does.  After every step the lookups of every touched VA in
     both tables, the raised error type and the whole tree match the
-    model.
+    model, and each lookup names the nodes on the VA's path.
     """
 
     @given(st.lists(_space_steps, min_size=1, max_size=12))
@@ -537,9 +545,12 @@ class TestAddressSpaceAgainstModel:
             for slot in model.shared:
                 assert alias.root.child[slot] is table.root.child[slot]
             for va in sorted(touched):
-                want = model.lookup(va)
-                assert _record(table, va) == want, hex(va)
+                level, leaf = model.lookup(va)
+                assert _record(table, va) \
+                    == (level, _path_nodes(table, va, level), leaf), hex(va)
                 translation = space.translate(va)
-                assert (translation is None) == (want[1] is None)
-                shared = split_indices(va)[0] in model.shared
-                assert _record(alias, va) == (want if shared else (0, None))
+                assert (translation is None) == (leaf is None)
+                if split_indices(va)[0] not in model.shared:
+                    level, leaf = 0, None
+                assert _record(alias, va) \
+                    == (level, _path_nodes(alias, va, level), leaf), hex(va)

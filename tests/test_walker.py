@@ -110,16 +110,6 @@ class TestPerfCounterConsistency:
         )
         assert walker.completed_walks == 2
 
-    def test_pre_resolved_lookup_walks_identically(self):
-        table = PageTable()
-        table.map(0x1000, 0x1, USER_RW)
-        plain = _walker().walk(table, 0x1000)
-        resolved = table.lookup(0x1000)
-        hinted = _walker().walk(table, 0x1000, lookup=resolved)
-        assert hinted.cycles == plain.cycles
-        assert hinted.accesses == plain.accesses
-        assert hinted.terminal_level == plain.terminal_level
-
     def test_event_equals_attribute_across_all_core_paths(self):
         """AVX ops, kernel touches, and prefetch probes all walk through
         the same counter: the PMU event always equals completed_walks."""
