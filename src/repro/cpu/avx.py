@@ -30,6 +30,12 @@ VECTOR_BYTES = 32
 #: Supported element widths (VMASKMOVPS/D, VPMASKMOVD/Q).
 ELEMENT_SIZES = (4, 8)
 
+#: the PTE bits the unit reads and sets, as plain ints
+_USER = int(PageFlags.USER)
+_WRITABLE = int(PageFlags.WRITABLE)
+_DIRTY = int(PageFlags.DIRTY)
+_ACCESSED = int(PageFlags.ACCESSED)
+
 
 def make_mask(active_indices=(), element_size=4):
     """Build a mask tuple for a 256-bit vector.
@@ -197,7 +203,8 @@ class AVXUnit:
     def _translate(self, space, page_va, privileged):
         """TLB-first translation of one page.
 
-        Returns ``(translation_or_None, tlb_level_or_None, cycles)``.
+        Returns ``(translation_or_None, tlb_level_or_None, cycles)``; on
+        a TLB hit the translation is the cached :class:`TLBEntry`.
         """
         entry, level = self.tlb.lookup(page_va)
         if entry is not None:
@@ -206,8 +213,7 @@ class AVXUnit:
             )
             if level == "L2":
                 self.perf.increment("DTLB_LOAD_MISSES.STLB_HIT")
-            translation = _TLBTranslation(page_va, entry)
-            return translation, level, cost
+            return entry, level, cost
 
         walk = self.walker.walk(space.page_table, page_va)
         translation = walk.translation
@@ -217,7 +223,7 @@ class AVXUnit:
 
     def _may_cache(self, translation, privileged):
         """TLB fill policy -- the Intel/AMD split of the paper."""
-        if translation.flags.user or privileged:
+        if translation.flags & _USER or privileged:
             return True
         return self.cpu.fills_tlb_for_supervisor_user_probe
 
@@ -235,10 +241,10 @@ class AVXUnit:
                                   user=not privileged)
             else:
                 flags = translation.flags
-                if not privileged and not flags.user:
+                if not privileged and not flags & _USER:
                     fault = PageFault(element_va, present=True, write=is_store,
                                       user=True)
-                elif is_store and not flags.writable:
+                elif is_store and not flags & _WRITABLE:
                     fault = PageFault(element_va, present=True, write=True,
                                       user=not privileged)
             if fault is not None:
@@ -264,12 +270,12 @@ class AVXUnit:
             # Full fault-determination microcode path (P1 suppression).
             return "store-fault" if is_store else "load-fault"
         flags = translation.flags
-        accessible = flags.user or privileged
+        accessible = flags & _USER or privileged
         if not is_store:
             return None if accessible else "load-inaccessible"
-        if not accessible or not flags.writable:
+        if not accessible or not flags & _WRITABLE:
             return "store-perm"
-        if not flags.dirty:
+        if not flags & _DIRTY:
             return "dirty"
         return None
 
@@ -308,15 +314,13 @@ class AVXUnit:
             if is_store:
                 space.memory.write(pa, bytes(data[start : start + element_size]))
                 if page not in dirtied:
-                    space.page_table.set_flag(
-                        translation.va, PageFlags.DIRTY | PageFlags.ACCESSED
-                    )
+                    space.page_table.set_flag(page, _DIRTY | _ACCESSED)
                     dirtied.add(page)
             else:
                 out[start : start + element_size] = space.memory.read(
                     pa, element_size
                 )
-                space.page_table.set_flag(translation.va, PageFlags.ACCESSED)
+                space.page_table.set_flag(page, _ACCESSED)
         if is_store and dirtied:
             # Refresh cached flags so later stores see the dirty bit.
             for page in dirtied:
@@ -326,18 +330,3 @@ class AVXUnit:
                 ):
                     self.tlb.fill(refreshed)
         return None if is_store else bytes(out)
-
-
-class _TLBTranslation:
-    """Adapter presenting a TLB entry with the Translation interface."""
-
-    __slots__ = ("va", "pfn", "flags", "page_size", "level")
-
-    _LEVEL_OF_SIZE = {1 << 30: 1, 1 << 21: 2, PAGE_SIZE: 3}
-
-    def __init__(self, va, entry):
-        self.va = va
-        self.pfn = entry.pfn
-        self.flags = entry.flags
-        self.page_size = entry.page_size
-        self.level = self._LEVEL_OF_SIZE[entry.page_size]

@@ -76,7 +76,6 @@ from repro.mmu.address import (
     PAGE_SIZE_2M,
 )
 from repro.mmu.flags import PageFlags
-from repro.mmu.pagetable import page_flags
 from repro.mmu.tlb import TLBEntry
 
 #: below this sweep length the compile overhead is not worth it; the
@@ -582,7 +581,7 @@ def _replay_buckets(tlb, plan, done, hits):
             plan.flags[rows].tolist(), plan.page_size[rows].tolist()):
         k = hit_index.get(row)
         if k is None:
-            entry = TLBEntry(vpn, pfn, page_flags(word), size, False, asid)
+            entry = TLBEntry(vpn, pfn, word, size, False, asid)
             arrays = (tlb.l1[size],) if size == PAGE_SIZE_1G \
                 else (tlb.l1[size], stlb)
         else:

@@ -269,10 +269,8 @@ class Core:
         if entry is not None:
             return self.cpu.tlb_hit_l1 if level == "L1" else self.cpu.tlb_hit_l2
         walk = self.walker.walk(space.page_table, va)
-        if walk.translation is not None and (
-            walk.translation.flags.user
-            or self.cpu.fills_tlb_for_supervisor_user_probe
-        ):
+        if walk.translation is not None \
+                and self.avx._may_cache(walk.translation, False):
             self.tlb.fill(walk.translation)
         return walk.cycles
 

@@ -49,7 +49,9 @@ batched engine is the columnar engine with every row forced onto
 import numpy as np
 
 from repro.mmu.address import PAGE_SIZE, PAGE_SIZE_1G, PAGE_SIZE_2M
+from repro.mmu.flags import PageFlags
 
+_USER = int(PageFlags.USER)
 _PAGE_SUFFIX = {PAGE_SIZE: "4k", PAGE_SIZE_2M: "2m", PAGE_SIZE_1G: "1g"}
 
 
@@ -162,7 +164,7 @@ def sweep_rows(core, vas, rounds, op, warm, state, lo, hi):
             translation = core.address_space.page_table.lookup(va).translation
             observe_probe_cycles(
                 obs.metrics, translation and translation.page_size,
-                translation and translation.flags.user, int(steady[i]),
+                translation and translation.flags & _USER, int(steady[i]),
             )
 
 

@@ -22,42 +22,15 @@ class PageFlags(enum.IntFlag):
     GLOBAL = 1 << 8        # G  : survives CR3 switches
     NX = 1 << 63           # XD : instruction fetches disallowed
 
-    @property
-    def present(self):
-        return bool(self & PageFlags.PRESENT)
 
-    @property
-    def writable(self):
-        return bool(self & PageFlags.WRITABLE)
-
-    @property
-    def user(self):
-        return bool(self & PageFlags.USER)
-
-    @property
-    def dirty(self):
-        return bool(self & PageFlags.DIRTY)
-
-    @property
-    def accessed(self):
-        return bool(self & PageFlags.ACCESSED)
-
-    @property
-    def huge(self):
-        return bool(self & PageFlags.HUGE)
-
-    @property
-    def executable(self):
-        return not bool(self & PageFlags.NX)
-
-    def describe(self):
-        """Return a /proc/PID/maps style ``rwx`` permission string."""
-        if not self.present:
-            return "---"
-        read = "r"
-        write = "w" if self.writable else "-"
-        execute = "x" if self.executable else "-"
-        return read + write + execute
+def describe(flags):
+    """Return a /proc/PID/maps style ``rwx`` permission string of a PTE
+    word (an ``int`` or a :class:`PageFlags`)."""
+    if not flags & PageFlags.PRESENT:
+        return "---"
+    write = "w" if flags & PageFlags.WRITABLE else "-"
+    execute = "-" if flags & PageFlags.NX else "x"
+    return "r" + write + execute
 
 
 #: Convenience combinations used throughout the OS layer.

@@ -29,7 +29,7 @@ from repro.mmu.address import (
     is_user_address,
     split_indices,
 )
-from repro.mmu.flags import PageFlags
+from repro.mmu.flags import PageFlags, describe
 
 #: level index (0-based, top-down) at which each page size terminates
 _LEVEL_OF_SIZE = {PAGE_SIZE_1G: 1, PAGE_SIZE_2M: 2, PAGE_SIZE: 3}
@@ -45,23 +45,10 @@ _PRESENT = int(PageFlags.PRESENT)
 #: the bits ``protect`` keeps from the old leaf
 _KEPT_BITS = int(PageFlags.HUGE | PageFlags.GLOBAL)
 
-#: flag word -> :class:`PageFlags`, filled as words are first read: an
-#: IntFlag construction costs ~1 us, a dict hit a tenth of that
-_PAGE_FLAGS = {}
-
-
-def page_flags(word):
-    """The :class:`PageFlags` of a node's flag word."""
-    flags = _PAGE_FLAGS.get(word)
-    if flags is None:
-        flags = _PAGE_FLAGS[word] = PageFlags(word)
-    return flags
-
-
 class Node:
     """One paging structure: its 512 slots as three dense columns.
 
-    ``flags`` holds each slot's PTE bits (uint64; 0 is an empty slot),
+    ``flags`` holds each slot's PTE word (uint64; 0 is an empty slot),
     ``pfn`` a leaf's frame (int64) and ``child`` a directory slot's
     next-level node (None for a leaf or an empty slot).  The columnar
     engine (:func:`repro.cpu.columnar._resolve`) gathers from these
@@ -92,7 +79,11 @@ class Node:
 
 
 class Translation:
-    """A successful virtual-to-physical translation."""
+    """A successful virtual-to-physical translation.
+
+    ``flags`` is the leaf's PTE word as a plain ``int``, read straight
+    from its node's flag column; test it against :class:`PageFlags` bits.
+    """
 
     __slots__ = ("va", "pfn", "flags", "page_size", "level")
 
@@ -114,7 +105,7 @@ class Translation:
 
     def __repr__(self):
         return "Translation(va={:#x}, pfn={:#x}, {}, {})".format(
-            self.va, self.pfn, self.flags.describe(), self.level_name
+            self.va, self.pfn, describe(self.flags), self.level_name
         )
 
 
@@ -291,7 +282,7 @@ class PageTable:
                 translation = Translation(
                     va,
                     node.pfn.item(index),
-                    page_flags(word),
+                    word,
                     _SIZE_OF_LEVEL[level],
                     level,
                 )
@@ -335,9 +326,8 @@ class PageTable:
                     if va >> 47 & 1:
                         va |= 0xFFFF_0000_0000_0000
                     size = _SIZE_OF_LEVEL[level]
-                    yield va, Translation(va, node.pfn.item(index),
-                                          page_flags(word), size,
-                                          level), size
+                    yield va, Translation(va, node.pfn.item(index), word,
+                                          size, level), size
 
         yield from walk(self.root, 0, 0)
 

@@ -38,6 +38,9 @@ from repro.mmu.address import PAGE_SIZE, PAGE_SIZE_1G, PAGE_SIZE_2M
 class TLBEntry:
     """One cached translation.
 
+    ``flags`` is the leaf's PTE word as a plain ``int``, as the cached
+    :class:`~repro.mmu.pagetable.Translation` carries it.
+
     ``asid`` is the PCID tag: with kernel page-table isolation plus PCID,
     kernel- and user-mode translations coexist in the TLB under different
     tags, and a lookup only matches entries of the active tag (or global

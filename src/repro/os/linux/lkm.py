@@ -13,6 +13,7 @@ assert.
 
 from repro.errors import ConfigError
 from repro.mmu.address import is_canonical
+from repro.mmu.flags import describe
 
 
 class ExperimentLKM:
@@ -38,7 +39,7 @@ class ExperimentLKM:
             return (False, "---", None, None)
         return (
             True,
-            translation.flags.describe(),
+            describe(translation.flags),
             translation.page_size,
             translation.pfn,
         )

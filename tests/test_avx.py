@@ -255,19 +255,19 @@ class TestDataMovement:
     def test_active_store_sets_dirty(self, setup):
         core, space, mapped, __ = setup
         core.masked_store(mapped, make_mask([0]))
-        assert space.translate(mapped).flags.dirty
+        assert space.translate(mapped).flags & PageFlags.DIRTY
 
     def test_zero_mask_store_leaves_dirty_clear(self, setup):
         """Crucial for the threshold calibration: probing never dirties."""
         core, space, mapped, __ = setup
         for _ in range(10):
             core.masked_store(mapped, ZERO_MASK)
-        assert not space.translate(mapped).flags.dirty
+        assert not space.translate(mapped).flags & PageFlags.DIRTY
 
     def test_active_load_sets_accessed(self, setup):
         core, space, mapped, __ = setup
         core.masked_load(mapped, make_mask([0]))
-        assert space.translate(mapped).flags.accessed
+        assert space.translate(mapped).flags & PageFlags.ACCESSED
 
     def test_dirty_visible_to_next_store_via_tlb(self, setup):
         core, __, mapped, __ = setup

@@ -6,6 +6,7 @@ from repro.attacks.eviction import TLBEvictionBuffer
 from repro.errors import MappingError
 from repro.machine import Machine
 from repro.mmu.address import PAGE_SIZE
+from repro.mmu.flags import PageFlags
 
 
 @pytest.fixture
@@ -100,13 +101,13 @@ class TestDemandPaging:
         process = machine.process
         addr = process.mmap(1, "rw-", populate=False)
         process.touch(addr, write=False)
-        assert not process.space.translate(addr).flags.dirty
+        assert not process.space.translate(addr).flags & PageFlags.DIRTY
 
     def test_write_fault_installs_dirty(self, machine):
         process = machine.process
         addr = process.mmap(1, "rw-", populate=False)
         process.touch(addr, write=True)
-        assert process.space.translate(addr).flags.dirty
+        assert process.space.translate(addr).flags & PageFlags.DIRTY
 
     def test_write_fault_on_readonly_segfaults(self, machine):
         process = machine.process

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mmu.address import PAGE_SIZE, PAGE_SIZE_2M
+from repro.mmu.flags import PageFlags
 from repro.os.linux import layout
 from repro.os.linux.kaslr import KASLRPolicy
 from repro.os.linux.kernel import SYSCALL_TABLE, LinuxKernel
@@ -132,11 +133,13 @@ class TestLinuxKernel:
     def test_text_data_split_respects_wx(self, kernel):
         """Strict kernel memory permissions: no page is both W and X."""
         for base, entry, __ in kernel.kernel_space.page_table.iter_terminal():
-            assert not (entry.flags.writable and entry.flags.executable)
+            writable = entry.flags & PageFlags.WRITABLE
+            executable = not entry.flags & PageFlags.NX
+            assert not (writable and executable)
 
     def test_kernel_pages_are_supervisor(self, kernel):
         translation = kernel.kernel_space.translate(kernel.base)
-        assert not translation.flags.user
+        assert not translation.flags & PageFlags.USER
 
     def test_four_k_tail_pages(self, kernel):
         for offset in layout.KERNEL_4K_PAGE_OFFSETS:
@@ -210,7 +213,7 @@ class TestKPTI:
         for i in range(layout.KPTI_TRAMPOLINE_PAGES):
             translation = kernel.user_space.translate(trampoline + i * PAGE_SIZE)
             assert translation is not None
-            assert not translation.flags.user  # supervisor page
+            assert not translation.flags & PageFlags.USER  # supervisor page
 
     def test_modules_not_in_user_table(self, kernel):
         start, __ = kernel.module_map["video"]

@@ -37,7 +37,7 @@ class TestMapping:
         assert lookup.present
         assert lookup.translation.page_size == PAGE_SIZE_2M
         assert lookup.translation.level_name == "PD"
-        assert lookup.translation.flags.huge
+        assert lookup.translation.flags & PageFlags.HUGE
 
     def test_map_1g(self):
         table = PageTable()
@@ -125,7 +125,7 @@ class TestUnmapProtect:
         table.map(0x1000, 0x1, USER_RW)
         table.protect(0x1000, PageFlags.PRESENT | PageFlags.USER | PageFlags.NX)
         flags = table.lookup(0x1000).translation.flags
-        assert not flags.writable
+        assert not flags & PageFlags.WRITABLE
 
     def test_protect_to_none_unmaps(self):
         table = PageTable()
@@ -137,13 +137,13 @@ class TestUnmapProtect:
         table = PageTable()
         table.map(PAGE_SIZE_2M, 0x2, KERNEL, PAGE_SIZE_2M)
         table.protect(PAGE_SIZE_2M, PageFlags.PRESENT | PageFlags.NX)
-        assert table.lookup(PAGE_SIZE_2M).translation.flags.huge
+        assert table.lookup(PAGE_SIZE_2M).translation.flags & PageFlags.HUGE
 
     def test_set_flag(self):
         table = PageTable()
         table.map(0x1000, 0x1, USER_RW)
         table.set_flag(0x1000, PageFlags.DIRTY)
-        assert table.lookup(0x1000).translation.flags.dirty
+        assert table.lookup(0x1000).translation.flags & PageFlags.DIRTY
 
 
 class TestWalkNodes:
@@ -253,7 +253,7 @@ class TestAddressSpace:
         space.protect_range(
             0x10000, PAGE_SIZE, PageFlags.PRESENT | PageFlags.USER
         )
-        assert not space.translate(0x10000).flags.writable
+        assert not space.translate(0x10000).flags & PageFlags.WRITABLE
 
     def test_bad_size_rejected(self):
         with pytest.raises(MappingError):

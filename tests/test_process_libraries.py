@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import MappingError
 from repro.mmu.address import PAGE_SIZE
+from repro.mmu.flags import PageFlags, describe
 from repro.os.linux import layout
 from repro.os.linux.kernel import LinuxKernel
 from repro.os.linux.libraries import (
@@ -84,7 +85,7 @@ class TestProcessLoading:
                 assert process.space.translate(cursor) is None
             else:
                 flags = process.space.translate(cursor).flags
-                assert flags.describe() == section.perms
+                assert describe(flags) == section.perms
             cursor += section.pages * PAGE_SIZE
 
     def test_rw_image_sections_are_dirty(self, process):
@@ -95,7 +96,8 @@ class TestProcessLoading:
         rw_offset = sum(
             s.pages for s in libc.sections if s.perms != "rw-"
         ) * PAGE_SIZE
-        assert process.space.translate(base + rw_offset).flags.dirty
+        flags = process.space.translate(base + rw_offset).flags
+        assert flags & PageFlags.DIRTY
 
     def test_aslr_entropy_between_seeds(self):
         bases = {
@@ -136,7 +138,7 @@ class TestSyscalls:
     def test_mprotect_change_perms(self, process):
         addr = process.mmap(1, "rw-")
         process.mprotect(addr, 1, "r--")
-        assert process.space.translate(addr).flags.describe() == "r--"
+        assert describe(process.space.translate(addr).flags) == "r--"
         assert process.region_at(addr).perms == "r--"
 
     def test_mprotect_to_none_unmaps(self, process):
@@ -189,7 +191,7 @@ class TestCustomLibrary:
                            Section(".data", 1, "rw-")]
         )
         base = process.load_library(image)
-        assert process.space.translate(base).flags.describe() == "r-x"
-        assert process.space.translate(
-            base + 2 * PAGE_SIZE
-        ).flags.describe() == "rw-"
+        assert describe(process.space.translate(base).flags) == "r-x"
+        assert describe(
+            process.space.translate(base + 2 * PAGE_SIZE).flags
+        ) == "rw-"

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.cpu.avx import make_mask
+from repro.machine import Machine
 from repro.mmu.address import PAGE_SIZE, PAGE_SIZE_1G, PAGE_SIZE_2M
 from repro.mmu.flags import PageFlags
 from repro.mmu.pagetable import Translation
@@ -130,3 +132,44 @@ class TestTwoLevelTLB:
         # present pages; the walker never fills on a failed walk.
         tlb = TwoLevelTLB()
         assert tlb.occupancy()["l1_4k"] == 0
+
+
+class TestFlagWord:
+    """Translations and TLB entries carry the PTE word as a plain int,
+    from the node's flag column to the AVX unit's permission tests."""
+
+    @staticmethod
+    def _entries(tlb):
+        for array in list(tlb.l1.values()) + [tlb.stlb]:
+            for bucket in array._sets:
+                yield from bucket
+
+    def test_flag_words_are_ints_on_every_path(self):
+        machine = Machine.linux(cpu="i7-1065G7", seed=17)
+        core = machine.core
+        table = core.address_space.page_table
+        base = machine.process.mmap(40)
+        vas = [base + i * PAGE_SIZE for i in range(40)]
+        # per-op: an active store dirties its page and refills the TLB
+        core.masked_store(vas[0], make_mask([0]))
+        # columnar: hit rows on stale clean entries, then fill rows
+        core.sweep_engine = "per-op"
+        core.probe_sweep(vas[:20], rounds=1, warm=False)
+        for va in vas[1:8]:
+            table.set_flag(va, PageFlags.DIRTY)
+        core.sweep_engine = "columnar"
+        core.probe_sweep(vas, rounds=1, warm=False, op="store")
+        assert core.last_sweep.columnar_rows == len(vas)
+
+        entries = list(self._entries(core.tlb))
+        assert len(entries) >= 2 * len(vas)
+        assert all(type(entry.flags) is int for entry in entries)
+        assert type(table.lookup(vas[0]).translation.flags) is int
+        assert all(type(translation.flags) is int
+                   for __, translation, __ in table.iter_terminal())
+
+        entry, level = core.tlb.lookup(vas[0])
+        assert entry.flags & PageFlags.DIRTY
+        translation, level, __ = core.avx._translate(
+            core.address_space, vas[0], False)
+        assert translation is entry and level == "L1"

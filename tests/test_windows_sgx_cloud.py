@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.machine import Machine
 from repro.mmu.address import PAGE_SIZE, PAGE_SIZE_2M
+from repro.mmu.flags import PageFlags, describe
 from repro.os.cloud.instances import CLOUD_CATALOG
 from repro.os.linux.kernel import LinuxKernel
 from repro.os.linux.process import Process
@@ -102,14 +103,14 @@ class TestEnclave:
     def test_code_pages_mapped_rx(self, process):
         enclave = Enclave(process, seed=1)
         flags = process.space.translate(enclave.code_base).flags
-        assert flags.describe() == "r-x"
+        assert describe(flags) == "r-x"
 
     def test_data_follows_code(self, process):
         enclave = Enclave(process, seed=1)
         assert enclave.data_base == enclave.code_base + \
             enclave.code_pages * PAGE_SIZE
         flags = process.space.translate(enclave.data_base).flags
-        assert flags.describe() == "rw-"
+        assert describe(flags) == "rw-"
 
     def test_in_enclave_aslr_entropy(self):
         offsets = set()
@@ -172,9 +173,9 @@ class TestMachineFactories:
         machine = Machine.linux(seed=2)
         pg = machine.playground
         space = machine.kernel.user_space
-        assert space.translate(pg.user_rw).flags.describe() == "rw-"
-        assert space.translate(pg.user_ro).flags.describe() == "r--"
-        assert space.translate(pg.user_rx).flags.describe() == "r-x"
+        assert describe(space.translate(pg.user_rw).flags) == "rw-"
+        assert describe(space.translate(pg.user_ro).flags) == "r--"
+        assert describe(space.translate(pg.user_rx).flags) == "r-x"
         assert space.translate(pg.user_none) is None
         assert space.translate(pg.unmapped) is None
 
@@ -183,7 +184,7 @@ class TestMachineFactories:
         flags = machine.kernel.user_space.translate(
             machine.playground.user_rw
         ).flags
-        assert not flags.dirty
+        assert not flags & PageFlags.DIRTY
 
     def test_windows_factory(self):
         machine = Machine.windows(seed=3)
